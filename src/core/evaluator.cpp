@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "analysis/invariants.hpp"
 #include "comm/collective_algorithm.hpp"
@@ -264,6 +265,18 @@ EvalResult evaluate_with_layer(const model::TransformerConfig& mdl,
 
   res.feasible = true;
   return res;
+}
+
+void EvalOptions::validate() const {
+  // NaN fails both comparisons, so this also rejects non-finite values.
+  const auto fraction = [](double v) { return v >= 0.0 && v <= 1.0; };
+  if (!fraction(tp_overlap)) {
+    throw std::invalid_argument("EvalOptions: tp_overlap must be in [0, 1]");
+  }
+  if (!fraction(activation_offload)) {
+    throw std::invalid_argument(
+        "EvalOptions: activation_offload must be in [0, 1]");
+  }
 }
 
 EvalResult evaluate(const model::TransformerConfig& mdl,

@@ -60,6 +60,11 @@ struct EvalOptions {
   /// boundaries at ~one extra forward of compute per layer. The paper's
   /// baseline only recomputes inside FlashAttention.
   bool activation_recompute = false;
+
+  /// Throws std::invalid_argument unless tp_overlap and activation_offload
+  /// are finite fractions in [0, 1] (outside it the model returns negative
+  /// or meaningless times).
+  void validate() const;
 };
 
 struct EvalResult {

@@ -8,6 +8,7 @@
 #include "core/lower_bounds.hpp"
 #include "parallel/layer_builder.hpp"
 #include "search/search_cache.hpp"
+#include "util/object_pool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tfpe::search {
@@ -39,63 +40,6 @@ void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain) {
   cfg.nvsd = largest_divisor_leq(cfg.nd, budget);
 }
 
-core::EvalResult scan_placements_signature(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    parallel::ParallelConfig cfg, std::int64_t global_batch,
-    const core::CostSignature& sig, const core::SystemTiming& base,
-    const std::vector<std::array<std::int64_t, 4>>& placements,
-    const core::EvalOptions& eval, std::size_t& evals,
-    bool stop_after_infeasible) {
-  if (placements.empty()) {
-    core::EvalResult best;
-    best.cfg = cfg;
-    best.reason = "no valid placement";
-    return best;
-  }
-  const auto apply = [&](std::size_t idx) {
-    cfg.nvs1 = placements[idx][0];
-    cfg.nvs2 = placements[idx][1];
-    cfg.nvsp = placements[idx][2];
-    cfg.nvsd = placements[idx][3];
-  };
-
-  // Feasibility is placement-invariant over an enumerate_placements list:
-  // every tuple satisfies the nvs divisibility + domain constraints by
-  // construction, and the remaining checks (validity, HBM capacity) do not
-  // read the placement fields. So decide it once. When infeasible, the
-  // reference scan keeps the first placement's result under
-  // stop_after_infeasible and the last one's otherwise — reproduce that.
-  apply(0);
-  const bool invalid = cfg.invalid_reason(mdl, sys, global_batch).has_value();
-  const bool over_capacity =
-      !invalid && sig.mem.total() > sys.gpu.hbm_capacity;
-  if (invalid || over_capacity) {
-    evals += stop_after_infeasible ? 1 : placements.size();
-    apply(stop_after_infeasible ? 0 : placements.size() - 1);
-    return core::time_signature(sig, base, mdl, sys, cfg, global_batch, eval);
-  }
-
-  // All placements feasible: argmin of the breakdown total, first index
-  // winning ties — exactly better_result's ordering when time and memory
-  // (placement-invariant) are equal. Only the winner is materialized into
-  // a full EvalResult.
-  std::size_t best_idx = 0;
-  double best_total = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < placements.size(); ++i) {
-    apply(i);
-    const core::PlacementTiming pt =
-        core::time_placement(sig, base, sys, cfg, eval);
-    ++evals;
-    const double total = pt.time.total();
-    if (total < best_total) {
-      best_total = total;
-      best_idx = i;
-    }
-  }
-  apply(best_idx);
-  return core::time_signature(sig, base, mdl, sys, cfg, global_batch, eval);
-}
-
 core::EvalResult scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -120,8 +64,13 @@ core::EvalResult scan_placements_batch(
     cfg.nvsd = placements[idx][3];
   };
 
-  // Same placement-invariant feasibility shortcut (and eval accounting) as
-  // the scalar scan — the batch kernel never runs for a doomed candidate.
+  // Feasibility is placement-invariant over an enumerate_placements list:
+  // every tuple satisfies the nvs divisibility + domain constraints by
+  // construction, and the remaining checks (validity, HBM capacity) do not
+  // read the placement fields. So decide it once, and never run the batch
+  // kernel for a doomed candidate. When infeasible, the single-phase
+  // reference scan keeps the first placement's result under
+  // stop_after_infeasible and the last one's otherwise — reproduce that.
   // A prevalidated caller has already decided both verdicts (valid, fits),
   // so the probe — the only reader of base.fabric on this path — is
   // skipped, not merely predicted false.
@@ -143,9 +92,10 @@ core::EvalResult scan_placements_batch(
                               timings, &scratch, pricer);
   evals += placements.size();
 
-  // The batched timings are bitwise equal to the scalar per-placement ones,
-  // so this argmin (first index winning ties) lands on the exact candidate
-  // scan_placements_signature would pick.
+  // All placements feasible: argmin of the breakdown total, first index
+  // winning ties — exactly better_result's ordering when time and memory
+  // (placement-invariant) are equal. Only the winner is materialized into
+  // a full EvalResult.
   std::size_t best_idx = 0;
   double best_total = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < timings.size(); ++i) {
@@ -174,11 +124,10 @@ core::EvalResult scan_placements_batch(
 
 namespace {
 
-/// Single-phase variant of scan_placements_signature, used by the
-/// exhaustive reference engine (one full evaluate_with_layer per
-/// placement). Kept deliberately on the legacy path so the pruned/
-/// exhaustive equivalence tests compare the two-phase pipeline against an
-/// independent evaluation, not against itself.
+/// Single-phase placement scan of the exhaustive reference engine (one full
+/// evaluate_with_layer per placement): the independent oracle the pruned /
+/// exhaustive equivalence tests hold scan_placements_batch against, so the
+/// batched pipeline is never compared with itself.
 core::EvalResult scan_placements(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
@@ -242,6 +191,14 @@ std::vector<parallel::ParallelConfig> expand_candidates(
 
 namespace {
 
+/// Kernel scratch and timing buffer of one batched placement scan, leased
+/// per candidate from an ObjectPool so warm capacity survives across the
+/// workers' candidates.
+struct PlacementScratch {
+  core::BatchScratch batch;
+  std::vector<core::PlacementTiming> timings;
+};
+
 void atomic_min(std::atomic<double>& target, double value) {
   double cur = target.load();
   while (value < cur && !target.compare_exchange_weak(cur, value)) {
@@ -263,6 +220,7 @@ struct SweepState {
 SweepState sweep(const model::TransformerConfig& mdl,
                  const hw::SystemConfig& sys, const SearchOptions& opts,
                  bool use_incumbent) {
+  opts.eval.validate();
   SweepState st;
   st.configs = expand_candidates(mdl, sys, opts);
   const std::size_t n = st.configs.size();
@@ -275,8 +233,9 @@ SweepState sweep(const model::TransformerConfig& mdl,
   util::ThreadPool pool(opts.threads);
 
   if (!opts.prune) {
-    // Exhaustive brute force (the seed engine): one op list per candidate,
-    // one placement enumeration per candidate, no rejection.
+    // Exhaustive brute force (the seed engine and the independent oracle):
+    // one op list per candidate, one placement enumeration per candidate,
+    // one full single-phase evaluation per placement, no rejection.
     util::parallel_for_dynamic(pool, n, [&](std::size_t i) {
       parallel::ParallelConfig cfg = st.configs[i];
       if (opts.search_placement) {
@@ -299,7 +258,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   LayerCostCache layer_cache;
   PlacementCache placement_cache;
   SignatureCache signature_cache;
-  enum : std::uint8_t { kPending, kInvalid, kMemPruned, kBoundPruned };
+  enum : std::uint8_t { kPending, kInvalid, kMemPruned };
   std::vector<std::uint8_t> state(n, kPending);
   std::vector<double> lb(n, 0.0);
 
@@ -341,26 +300,37 @@ SweepState sweep(const model::TransformerConfig& mdl,
   });
 
   std::atomic<double> incumbent{std::numeric_limits<double>::infinity()};
-  std::atomic<std::size_t> racy_pruned{0};
 
   // The pruned engine evaluates through the two-phase pipeline: compile the
   // candidate once (shared across the interleave axis via the signature
-  // cache), bind the system once, then re-time per placement — the
-  // placement scan re-does only the collective/pipeline/DP terms instead of
-  // the whole op-list roofline.
+  // cache), lower and bind it, then time all of its placements in one
+  // batched call — the placement scan re-does only the collective/pipeline/
+  // DP terms instead of the whole op-list roofline. The SoA lowering is
+  // rebuilt per candidate rather than cached: it is reused only across the
+  // few interleave/ZeRO siblings of one signature, and holding every
+  // lowering for the whole search raised peak memory by about half on a
+  // large SUMMA space while running slower than lowering afresh. Each call
+  // leases a warm kernel scratch bundle, so the kernel allocates only on
+  // growth.
+  util::ObjectPool<PlacementScratch> scratch_pool;
   auto evaluate_candidate = [&](std::size_t i) {
     parallel::ParallelConfig cfg = st.configs[i];
     const auto sig = signature_cache.get(mdl, cfg, b, opts.eval, layer_cache);
-    const core::SystemTiming base = core::bind_system(*sig, sys, opts.eval);
     core::EvalResult r;
     if (opts.search_placement) {
-      const auto placements = placement_cache.get(cfg, sys.nvs_domain);
-      r = scan_placements_signature(mdl, sys, cfg, b, *sig, base, *placements,
-                                    opts.eval, st.evals_per_config[i],
-                                    /*stop_after_infeasible=*/true);
+      const core::BatchedSignature bat = core::lower_batched(*sig);
+      const core::SystemTiming base =
+          core::bind_system_batched(*sig, bat, sys, opts.eval);
+      const auto scratch = scratch_pool.acquire();
+      r = scan_placements_batch(mdl, sys, cfg, b, *sig, bat, base,
+                                *placement_cache.get(cfg, sys.nvs_domain),
+                                opts.eval, st.evals_per_config[i],
+                                /*stop_after_infeasible=*/true,
+                                scratch->batch, scratch->timings);
     } else {
       pack_placement(cfg, sys.nvs_domain);
-      r = core::time_signature(*sig, base, mdl, sys, cfg, b, opts.eval);
+      r = core::time_signature(*sig, core::bind_system(*sig, sys, opts.eval),
+                               mdl, sys, cfg, b, opts.eval);
       st.evals_per_config[i] = 1;
     }
     if (r.feasible) atomic_min(incumbent, r.iteration());
@@ -375,10 +345,10 @@ SweepState sweep(const model::TransformerConfig& mdl,
     // Branch-and-bound rounds: evaluate round_size candidates, re-read the
     // incumbent at the barrier, and cut off the sorted suffix whose lower
     // bound it beats. The incumbent after a barrier is a min over a
-    // completed set of evaluations, so with opts.deterministic the pruning
-    // decisions — and all counters — are independent of the thread count.
-    // A pruned candidate satisfies time >= lb > incumbent >= optimum, so
-    // it can change neither the optimum nor its memory tie-break.
+    // completed set of evaluations, so the pruning decisions — and all
+    // counters — are independent of the thread count. A pruned candidate
+    // satisfies time >= lb > incumbent >= optimum, so it can change neither
+    // the optimum nor its memory tie-break.
     const std::size_t round_size = std::max<std::size_t>(1, opts.round_size);
     std::size_t pos = 0;
     std::size_t active_end = order.size();
@@ -391,7 +361,6 @@ SweepState sweep(const model::TransformerConfig& mdl,
       const std::size_t new_end =
           static_cast<std::size_t>(cut - order.begin());
       for (std::size_t j = new_end; j < active_end; ++j) {
-        state[order[j]] = kBoundPruned;
         st.best_per_config[order[j]].reason =
             "pruned: lower bound above incumbent";
         ++st.stats.bound_pruned;
@@ -400,47 +369,12 @@ SweepState sweep(const model::TransformerConfig& mdl,
       if (pos >= active_end) break;
 
       const std::size_t round_end = std::min(pos + round_size, active_end);
-      const double round_min_lb = lb[order[pos]];
-      std::function<bool()> stop;
-      if (!opts.deterministic) {
-        stop = [&incumbent, round_min_lb] {
-          return incumbent.load() < round_min_lb;
-        };
-      }
       util::parallel_for_dynamic(
           pool, round_end - pos,
-          [&, pos](std::size_t j) {
-            const std::size_t i = order[pos + j];
-            if (!opts.deterministic && lb[i] > incumbent.load()) {
-              state[i] = kBoundPruned;
-              st.best_per_config[i].reason =
-                  "pruned: lower bound above incumbent";
-              racy_pruned.fetch_add(1, std::memory_order_relaxed);
-              return;
-            }
-            evaluate_candidate(i);
-          },
-          /*grain=*/1, stop);
-      if (!opts.deterministic) {
-        // A stopped round leaves an unexecuted tail; every such candidate
-        // was abandoned because the incumbent beat the round's minimum
-        // bound, so it is bound-pruned, not skipped.
-        for (std::size_t j = pos; j < round_end; ++j) {
-          const std::size_t i = order[j];
-          if (state[i] == kPending && st.evals_per_config[i] == 0 &&
-              !st.best_per_config[i].feasible &&
-              st.best_per_config[i].reason.empty()) {
-            state[i] = kBoundPruned;
-            st.best_per_config[i].reason =
-                "pruned: lower bound above incumbent";
-            racy_pruned.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
+          [&, pos](std::size_t j) { evaluate_candidate(order[pos + j]); });
       pos = round_end;
       ++st.stats.rounds;
     }
-    st.stats.bound_pruned += racy_pruned.load();
   }
 
   st.stats.build_layer_calls = layer_cache.builds();
@@ -489,15 +423,20 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
     best.reason = *why;
     return best;
   }
-  // Two-phase: compile once, bind once, re-time per placement.
+  // Two-phase: compile, lower and bind once, time every placement in one
+  // batched call.
   const core::CostSignature sig =
       core::compile_signature(mdl, cfg, global_batch, eval);
-  const core::SystemTiming base = core::bind_system(sig, sys, eval);
+  const core::BatchedSignature bat = core::lower_batched(sig);
+  const core::SystemTiming base =
+      core::bind_system_batched(sig, bat, sys, eval);
   std::size_t evals = 0;
-  return scan_placements_signature(mdl, sys, cfg, global_batch, sig, base,
-                                   enumerate_placements(cfg, sys.nvs_domain),
-                                   eval, evals,
-                                   /*stop_after_infeasible=*/false);
+  core::BatchScratch scratch;
+  std::vector<core::PlacementTiming> timings;
+  return scan_placements_batch(mdl, sys, cfg, global_batch, sig, bat, base,
+                               enumerate_placements(cfg, sys.nvs_domain),
+                               eval, evals, /*stop_after_infeasible=*/false,
+                               scratch, timings);
 }
 
 SearchResult find_optimal(const model::TransformerConfig& mdl,

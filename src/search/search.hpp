@@ -17,7 +17,10 @@
 //   * candidates are evaluated cheapest-bound-first in fixed-size rounds
 //     with dynamically scheduled workers; the incumbent is re-read at each
 //     round barrier, which keeps the pruning decisions (and therefore
-//     SearchResult::evaluated) independent of the thread count.
+//     SearchResult::evaluated) independent of the thread count;
+//   * each surviving candidate's placements are timed in one batched call
+//     (scan_placements_batch over its SoA lowering), the same placement
+//     scan run_sweep and run_codesign use.
 // Pruning is conservative: the returned optimum is identical — same
 // configuration, same iteration time — to the exhaustive sweep's
 // (SearchOptions::prune = false).
@@ -45,14 +48,6 @@ struct SearchOptions : EnumerationOptions {
   /// configurations must then survive to be ranked (the memory-floor
   /// rejection and both caches still apply).
   bool prune = true;
-
-  /// When true (default), incumbent pruning decisions happen only at round
-  /// barriers, making the evaluated/pruned counts — not just the optimum —
-  /// invariant to the thread count. When false, workers additionally skip
-  /// candidates mid-round against the live incumbent and abandon a round
-  /// early once the incumbent beats every remaining lower bound: slightly
-  /// faster, but the stats become schedule-dependent.
-  bool deterministic = true;
 
   /// Candidates evaluated between incumbent re-reads in the pruned engine.
   std::size_t round_size = 64;
@@ -165,31 +160,20 @@ std::vector<parallel::ParallelConfig> expand_candidates(
 /// give NVS GPUs to TP1 first, then TP2, PP, DP.
 void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 
-/// Evaluate a compiled candidate under every placement in `placements` via
-/// the two-phase path (per placement only the collective/pipeline/DP terms
-/// are recomputed), returning the best result. `sig`/`base` must come from
-/// compile_signature/bind_system for the same (mdl, cfg, batch, eval, sys).
-/// Increments `evals` once per placement evaluated. Infeasibility of a
-/// valid placement can only come from the placement-independent memory
-/// model, so `stop_after_infeasible` lets callers cut the scan short.
-core::EvalResult scan_placements_signature(
-    const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
-    parallel::ParallelConfig cfg, std::int64_t global_batch,
-    const core::CostSignature& sig, const core::SystemTiming& base,
-    const std::vector<std::array<std::int64_t, 4>>& placements,
-    const core::EvalOptions& eval, std::size_t& evals,
-    bool stop_after_infeasible);
-
-/// Batched twin of scan_placements_signature: one time_placements_batch
-/// call over the whole placement set instead of a per-placement
-/// time_placement loop. Returns the bitwise-identical result and increments
-/// `evals` by the same counts (the batch kernel's timings equal the scalar
-/// ones bit for bit, so the argmin picks the same winner). `bat` must be
-/// lower_batched(sig); `scratch` and `timings` are caller-owned so a
-/// placement scan reuses their allocations across candidates. On return
-/// `timings` holds the batch actually timed (empty when the
-/// placement-invariant infeasibility shortcut skipped the kernel) — callers
-/// use its size for batch-occupancy accounting.
+/// Evaluate a compiled candidate under every placement in `placements`
+/// with one time_placements_batch call over the SoA lowering (per placement
+/// only the collective/pipeline/DP terms are recomputed), returning the best
+/// result. `sig`/`base` must come from compile_signature/bind_system (or
+/// bind_system_batched) for the same (mdl, cfg, batch, eval, sys) and `bat`
+/// must be lower_batched(sig). Increments `evals` once per placement
+/// evaluated. Infeasibility of a valid placement can only come from the
+/// placement-independent memory model, so `stop_after_infeasible` lets
+/// callers charge a doomed candidate one evaluation instead of the whole
+/// set. `scratch` and `timings` are caller-owned so a placement scan reuses
+/// their allocations across candidates. On return `timings` holds the batch
+/// actually timed (empty when the placement-invariant infeasibility
+/// shortcut skipped the kernel) — callers use its size for batch-occupancy
+/// accounting.
 ///
 /// Generation-major fast path: a non-null `pricer` (bound to the fabric
 /// these placements should be priced against) is forwarded to

@@ -57,8 +57,7 @@ void ThreadPool::worker_loop() {
 
 std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
                                  const std::function<void(std::size_t)>& body,
-                                 std::size_t grain,
-                                 const std::function<bool()>& stop) {
+                                 std::size_t grain) {
   if (count == 0) return 0;
   if (grain == 0) grain = 1;
   std::atomic<std::size_t> cursor{0};
@@ -67,9 +66,8 @@ std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
   const std::size_t workers =
       std::min<std::size_t>(pool.size(), chunks);
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit([&cursor, &executed, &body, &stop, count, grain] {
+    pool.submit([&cursor, &executed, &body, count, grain] {
       for (;;) {
-        if (stop && stop()) return;
         const std::size_t begin =
             cursor.fetch_add(grain, std::memory_order_relaxed);
         if (begin >= count) return;

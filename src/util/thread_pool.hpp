@@ -55,17 +55,10 @@ void parallel_for_index(ThreadPool& pool, std::size_t count,
 /// Dynamically scheduled parallel-for: workers claim chunks of `grain`
 /// consecutive indices from a shared atomic cursor, so uneven per-index
 /// work (e.g. configurations with very different placement counts) cannot
-/// straggle one statically assigned worker.
-///
-/// If `stop` is provided, it is polled before each chunk claim; once it
-/// returns true no further chunks are claimed (in-flight chunks finish).
-/// The search uses this for incumbent-aware early exit: when the shared
-/// best-so-far already beats every remaining candidate's lower bound, the
-/// rest of the range is abandoned. Returns the number of indices executed
-/// (== count when the loop was not stopped).
+/// straggle one statically assigned worker. Returns the number of indices
+/// executed (always `count`).
 std::size_t parallel_for_dynamic(ThreadPool& pool, std::size_t count,
                                  const std::function<void(std::size_t)>& body,
-                                 std::size_t grain = 1,
-                                 const std::function<bool()>& stop = {});
+                                 std::size_t grain = 1);
 
 }  // namespace tfpe::util

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "core/lower_bounds.hpp"
 #include "search/search.hpp"
@@ -242,7 +244,7 @@ TEST(Pruning, MatchesExhaustiveOnVit32k) {
 
 TEST(Pruning, CountersInvariantAcrossThreadCounts) {
   // Round-barrier pruning makes the work counters — not just the optimum —
-  // independent of the thread count in deterministic mode.
+  // independent of the thread count.
   const auto mdl = model::gpt3_175b();
   const auto sys = b200(8, 128);
   SearchOptions opts;
@@ -260,23 +262,6 @@ TEST(Pruning, CountersInvariantAcrossThreadCounts) {
   EXPECT_EQ(a.stats.layer_cache_hits, b.stats.layer_cache_hits);
   EXPECT_EQ(a.stats.placement_sets, b.stats.placement_sets);
   EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-}
-
-TEST(Pruning, NonDeterministicModeFindsSameOptimum) {
-  // deterministic = false allows mid-round skips and round abandonment;
-  // the counters become schedule-dependent but the optimum may not.
-  const auto mdl = model::gpt3_175b();
-  const auto sys = b200(8, 128);
-  SearchOptions opts;
-  opts.strategy = parallel::TpStrategy::TP1D;
-  opts.global_batch = 512;
-  opts.prune = false;
-  const SearchResult brute = find_optimal(mdl, sys, opts);
-  opts.prune = true;
-  opts.deterministic = false;
-  opts.threads = 8;
-  const SearchResult racy = find_optimal(mdl, sys, opts);
-  expect_same_optimum(racy, brute);
 }
 
 TEST(Pruning, TopKRankingUnaffected) {
@@ -297,6 +282,59 @@ TEST(Pruning, TopKRankingUnaffected) {
     EXPECT_EQ(pruned.top[i].cfg.describe(), brute.top[i].cfg.describe());
     EXPECT_EQ(pruned.top[i].iteration(), brute.top[i].iteration());
   }
+}
+
+TEST(Pruning, MatchesExhaustiveOnSumma) {
+  // SUMMA (panelled, nb > 1) with the interleave and ZeRO-3 axes: the
+  // pruned engine's batched placement scan against the single-phase
+  // evaluate_with_layer oracle, bitwise — first with incumbent pruning,
+  // then with top_k so every feasible candidate runs the batched scan
+  // without an incumbent and the whole ranking is pinned.
+  const auto mdl = model::gpt3_175b();
+  const auto sys = b200(8, 64);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::Summa2D;
+  opts.global_batch = 256;
+  opts.interleave_candidates = {1, 2};
+  opts.allow_zero3 = true;
+  for (std::size_t top_k : {std::size_t{0}, std::size_t{3}}) {
+    opts.top_k = top_k;
+    opts.prune = false;
+    const SearchResult brute = find_optimal(mdl, sys, opts);
+    opts.prune = true;
+    const SearchResult pruned = find_optimal(mdl, sys, opts);
+    ASSERT_TRUE(brute.best.feasible);
+    expect_same_optimum(pruned, brute);
+    ASSERT_EQ(pruned.top.size(), brute.top.size());
+    EXPECT_EQ(brute.top.size(), top_k);
+    for (std::size_t i = 0; i < brute.top.size(); ++i) {
+      EXPECT_EQ(pruned.top[i].cfg.describe(), brute.top[i].cfg.describe());
+      EXPECT_EQ(pruned.top[i].iteration(), brute.top[i].iteration());
+      EXPECT_EQ(pruned.top[i].mem.total(), brute.top[i].mem.total());
+    }
+  }
+}
+
+TEST(FindOptimal, RejectsOutOfRangeEvalOptions) {
+  // Fractions outside [0, 1] (or NaN) would yield negative or meaningless
+  // iteration times; the search refuses them instead of ranking them.
+  const auto mdl = model::gpt3_175b();
+  const auto sys = b200(8, 64);
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::TP1D;
+  opts.global_batch = 256;
+  for (double bad : {2.0, -0.5, std::nan("")}) {
+    SearchOptions o = opts;
+    o.eval.tp_overlap = bad;
+    EXPECT_THROW(find_optimal(mdl, sys, o), std::invalid_argument) << bad;
+    o = opts;
+    o.eval.activation_offload = bad;
+    EXPECT_THROW(find_optimal(mdl, sys, o), std::invalid_argument) << bad;
+    EXPECT_THROW(pareto_frontier(mdl, sys, o), std::invalid_argument) << bad;
+  }
+  opts.eval.tp_overlap = 1.0;
+  opts.eval.activation_offload = 0.0;
+  EXPECT_NO_THROW(find_optimal(mdl, sys, opts));
 }
 
 TEST(Pruning, RoundSizeDoesNotChangeOptimum) {

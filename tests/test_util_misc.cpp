@@ -179,39 +179,6 @@ TEST(ThreadPool, DynamicForEmptyRange) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, DynamicForStopsEarly) {
-  // A single worker (deterministic claim order) with grain 1: stop after
-  // the 10th index -> exactly the first 10 run, and the return value says
-  // how many were executed.
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  const std::size_t executed = parallel_for_dynamic(
-      pool, 1000, [&](std::size_t) { ran.fetch_add(1); },
-      /*grain=*/1, /*stop=*/[&] { return ran.load() >= 10; });
-  EXPECT_EQ(executed, 10u);
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(ThreadPool, DynamicForStopNeverLosesInFlightWork) {
-  // With many workers, stopping must still count every executed index.
-  ThreadPool pool(8);
-  std::atomic<int> ran{0};
-  std::vector<std::atomic<int>> hits(512);
-  const std::size_t executed = parallel_for_dynamic(
-      pool, hits.size(),
-      [&](std::size_t i) {
-        hits[i].fetch_add(1);
-        ran.fetch_add(1);
-      },
-      /*grain=*/4, /*stop=*/[&] { return ran.load() >= 64; });
-  int total = 0;
-  for (auto& h : hits) {
-    EXPECT_LE(h.load(), 1);
-    total += h.load();
-  }
-  EXPECT_EQ(executed, static_cast<std::size_t>(total));
-  EXPECT_GE(executed, 64u);
-}
 
 TEST(AsciiHeatmap, RendersAndScales) {
   std::ostringstream os;

@@ -419,7 +419,6 @@ int codesign_usage(const char* msg) {
       "  --batch B           global batch (default 4096)\n"
       "  --threads N         worker threads (0 = hardware concurrency)\n"
       "  --no-prune-shapes   keep the full exact per-shape matrix\n"
-      "  --no-batch          scalar placement walk (A/B baseline)\n"
       "  --no-warm-start     cold incumbents (A/B baseline)\n"
       "  --verify-per-shape  cross-check every scanned (shape, point) and\n"
       "                      winner bitwise against per-shape find_optimal;\n"
@@ -476,7 +475,6 @@ int run_codesign_cmd(const util::ArgParser& args) {
   search::CodesignOptions opts;
   opts.sweep.search.global_batch = args.get_int_or("batch", 4096);
   opts.sweep.threads = static_cast<unsigned>(args.get_int_or("threads", 0));
-  opts.sweep.batch = !args.has("no-batch");
   opts.sweep.warm_start = !args.has("no-warm-start");
   opts.prune_shapes = !args.has("no-prune-shapes");
   const bool verify = args.has("verify-per-shape");
@@ -837,20 +835,9 @@ int run_serve_plan_cmd(const util::ArgParser& args) {
   return 0;
 }
 
-}  // namespace
+// --- `tfpe` (no subcommand): optimal-configuration search ----------------
 
-int main(int argc, char** argv) {
-  util::ArgParser args(argc, argv);
-  if (!args.positional().empty() && args.positional().front() == "lint") {
-    return run_lint(args);
-  }
-  if (!args.positional().empty() && args.positional().front() == "codesign") {
-    return run_codesign_cmd(args);
-  }
-  if (!args.positional().empty() &&
-      args.positional().front() == "serve-plan") {
-    return run_serve_plan_cmd(args);
-  }
+int run_search_cmd(const util::ArgParser& args) {
   if (args.has("help")) return usage(nullptr);
 
   // --- config file (flags still override the GPU-count style fields) ---
@@ -941,6 +928,10 @@ int main(int argc, char** argv) {
   if (!stray.empty()) {
     return usage(("unknown flag --" + stray.front()).c_str());
   }
+  if (sys.n_gpus < 1) return usage("--gpus must be >= 1");
+  if (sys.nvs_domain < 1) return usage("--nvs must be >= 1");
+  if (opts.global_batch < 1) return usage("--batch must be >= 1");
+  opts.eval.validate();  // throws to the exception boundary in main
 
   std::cout << "Model:  " << mdl.name << " ("
             << util::format_fixed(mdl.total_params() / 1e9, 1)
@@ -967,8 +958,11 @@ int main(int argc, char** argv) {
     opts.strategy = s;
     const auto found = search::find_optimal(mdl, sys, opts);
     rows.push_back({parallel::to_string(s), found.best});
-    if (found.best.feasible &&
-        (!best.feasible || found.best.iteration() < best.iteration())) {
+    // The first strategy's result seeds `best` even when infeasible, so a
+    // search where nothing fits still reports its reason.
+    if (rows.size() == 1 ||
+        (found.best.feasible &&
+         (!best.feasible || found.best.iteration() < best.iteration()))) {
       best = found.best;
       best_strategy = s;
     }
@@ -1042,4 +1036,24 @@ int main(int argc, char** argv) {
     std::cout << "Markdown report written to " << markdown << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // One exception boundary for every subcommand: a throw from flag parsing
+  // (a non-integer --gpus) or from a library entry point (out-of-range
+  // EvalOptions) is reported as a usage-level failure, never an abort.
+  try {
+    const util::ArgParser args(argc, argv);
+    const std::string cmd =
+        args.positional().empty() ? "" : args.positional().front();
+    if (cmd == "lint") return run_lint(args);
+    if (cmd == "codesign") return run_codesign_cmd(args);
+    if (cmd == "serve-plan") return run_serve_plan_cmd(args);
+    return run_search_cmd(args);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -15,30 +15,28 @@
 //   batch = 4096
 //   output = sweep.csv
 //
-// Usage: tfpe-sweep spec.tfpe [--output path] [--engine signature|legacy]
-//                             [--threads N] [--batch | --no-batch]
+// Usage: tfpe-sweep spec.tfpe [--output path] [--threads N]
 //                             [--warm-start] [--profile-stages]
 //                             [--verify-legacy] [--ablate-topology] [--arch]
 //
 // The hardware axes (gpu, nvs, oversub) of each (model, strategy, batch,
 // gpus) slice run through search::run_sweep: candidates are enumerated once,
 // compiled once into hardware-invariant cost signatures, and re-timed per
-// hardware point in parallel. Oversubscription 1 keeps the canonical
-// two-level fabric; ratios > 1 attach a three-level leaf/spine fabric, so
-// the topology is swept exactly like the NVS-domain size. --engine legacy
-// falls back to one find_optimal call per point; --verify-legacy runs both
-// engines and exits nonzero unless every per-point optimum is bitwise
-// identical. --ablate-topology re-runs every two-level point with its
-// fabric replaced by the degenerate three-level preset (leaf = nvs, no
-// oversubscription) and exits nonzero unless the optima are bitwise
-// identical — the golden-equivalence contract of the topology layer.
+// hardware point in parallel, each candidate's placements through the SoA
+// batch kernel. Oversubscription 1 keeps the canonical two-level fabric;
+// ratios > 1 attach a three-level leaf/spine fabric, so the topology is
+// swept exactly like the NVS-domain size. --verify-legacy re-runs every
+// point as a plain find_optimal call and exits nonzero unless every
+// per-point optimum is bitwise identical. --ablate-topology re-runs every
+// two-level point with its fabric replaced by the degenerate three-level
+// preset (leaf = nvs, no oversubscription) and exits nonzero unless the
+// optima are bitwise identical — the golden-equivalence contract of the
+// topology layer.
 //
-// --no-batch drops the signature engine back to the PR-3 scalar placement
-// walk (--batch, the default, times each candidate's placements through the
-// SoA batch kernel); --warm-start seeds each grid point's incumbent from
-// its chain predecessor's optimum. Both knobs change throughput only —
-// every optimum stays bitwise identical. --profile-stages prints per-stage
-// busy seconds (enumerate / compile / time) and their overlap factor.
+// --warm-start seeds each grid point's incumbent from its chain
+// predecessor's optimum; it changes throughput only — every optimum stays
+// bitwise identical. --profile-stages prints per-stage busy seconds
+// (enumerate / compile / time) and their overlap factor.
 //
 // --arch adds the architecture axis: every model on the axis expands into
 // its iso-parameter shape family (the spec's [codesign] section, or the
@@ -46,7 +44,7 @@
 // search::run_codesign with the full exact per-shape matrix, one CSV row
 // per (shape, hardware point) with the shape's name in the model column —
 // the CSV schema is unchanged. --verify-legacy then cross-checks the
-// matrix bitwise against the naive one-find_optimal-per-pair arm.
+// matrix bitwise against one find_optimal call per (shape, point).
 
 #include <chrono>
 #include <cstdio>
@@ -68,10 +66,8 @@ using namespace tfpe;
 
 int usage(const char* msg) {
   if (msg) std::cerr << "error: " << msg << "\n";
-  std::cerr << "usage: tfpe-sweep spec.tfpe [--output path]\n"
-               "                  [--engine signature|legacy] [--threads N]\n"
-               "                  [--batch | --no-batch] [--warm-start]\n"
-               "                  [--profile-stages]\n"
+  std::cerr << "usage: tfpe-sweep spec.tfpe [--output path] [--threads N]\n"
+               "                  [--warm-start] [--profile-stages]\n"
                "                  [--verify-legacy] [--ablate-topology]\n"
                "                  [--arch]\n"
                "see the header of tools/tfpe_sweep.cpp for the spec format\n";
@@ -143,10 +139,6 @@ int main(int argc, char** argv) {
     const auto out_it = spec.find("output");
     output = out_it != spec.end() ? out_it->second : "sweep.csv";
   }
-  const std::string engine = args.get_or("engine", "signature");
-  if (engine != "signature" && engine != "legacy") {
-    return usage("--engine must be 'signature' or 'legacy'");
-  }
   const bool verify_legacy = args.has("verify-legacy");
   const bool ablate_topology = args.has("ablate-topology");
   const bool arch = args.has("arch");
@@ -161,13 +153,12 @@ int main(int argc, char** argv) {
       return usage(e.what());
     }
   }
-  if (args.has("batch") && args.has("no-batch")) {
-    return usage("--batch and --no-batch are mutually exclusive");
-  }
-  const bool batch = !args.has("no-batch");  // --batch is the default
   const bool warm_start = args.has("warm-start");
   const bool profile_stages = args.has("profile-stages");
   const auto threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+  if (const auto stray = args.unused(); !stray.empty()) {
+    return usage(("unknown flag --" + stray.front()).c_str());
+  }
 
   // Validate axes up front, before any work.
   for (const auto& name : models) {
@@ -250,9 +241,11 @@ int main(int argc, char** argv) {
           opts.search.global_batch = std::stoll(b_s);
           opts.search.n_gpus = std::stoll(n_s);
           opts.threads = threads;
-          opts.use_signatures = engine == "signature";
-          opts.batch = batch;
           opts.warm_start = warm_start;
+          // --verify-legacy reference: one find_optimal per point, on the
+          // sweep's thread budget.
+          search::SearchOptions per_point = opts.search;
+          per_point.threads = threads;
 
           if (arch) {
             // Architecture axis: expand the slice's model into its
@@ -293,12 +286,6 @@ int main(int argc, char** argv) {
             totals.profile.time_s += cr.stats.profile.time_s;
             totals.profile.wall_s += cr.stats.profile.wall_s;
 
-            search::CodesignResult naive;
-            if (verify_legacy) {
-              search::CodesignOptions other = copts;
-              other.sweep.use_signatures = !copts.sweep.use_signatures;
-              naive = search::run_codesign(shapes, grid, other);
-            }
             for (std::size_t s = 0; s < shapes.size(); ++s) {
               for (std::size_t j = 0; j < slice.size(); ++j) {
                 Point p = points[slice[j]];
@@ -306,8 +293,10 @@ int main(int argc, char** argv) {
                 arch_rows.push_back(
                     {std::move(p), cr.per_shape[s][j], shapes[s].seq_len});
                 if (verify_legacy &&
-                    !identical_optimum(cr.per_shape[s][j],
-                                       naive.per_shape[s][j])) {
+                    !identical_optimum(
+                        cr.per_shape[s][j],
+                        search::find_optimal(shapes[s], grid[j], per_point)
+                            .best)) {
                   ++mismatches;
                   std::cerr << "MISMATCH at " << shapes[s].name << " "
                             << points[slice[j]].gpu << " nvs"
@@ -341,11 +330,10 @@ int main(int argc, char** argv) {
           totals.profile.wall_s += sr.stats.profile.wall_s;
 
           if (verify_legacy) {
-            search::SweepOptions other = opts;
-            other.use_signatures = !opts.use_signatures;
-            const search::SweepResult check = run_sweep(*mdl, grid, other);
             for (std::size_t j = 0; j < slice.size(); ++j) {
-              if (!identical_optimum(results[slice[j]], check.best[j])) {
+              if (!identical_optimum(
+                      results[slice[j]],
+                      search::find_optimal(*mdl, grid[j], per_point).best)) {
                 ++mismatches;
                 const Point& p = points[slice[j]];
                 std::cerr << "MISMATCH at " << p.model << " " << p.gpu
@@ -430,21 +418,16 @@ int main(int argc, char** argv) {
   const double pps = sweep_seconds > 0.0
                          ? static_cast<double>(n_rows) / sweep_seconds
                          : 0.0;
-  std::printf("engine=%s  %.3fs  %.1f points/s", engine.c_str(), sweep_seconds,
-              pps);
-  if (engine == "signature") {
-    std::printf("  compiles=%zu  compile-cache hit rate=%.1f%%",
-                totals.signature_compiles, 100.0 * totals.compile_hit_rate());
-    if (batch) {
-      std::printf("  batch-occupancy=%.1f", totals.batch_occupancy());
-    }
-    if (warm_start) {
-      std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
-                  totals.warm_seeded);
-    }
+  std::printf("%.3fs  %.1f points/s  compiles=%zu  compile-cache hit "
+              "rate=%.1f%%  batch-occupancy=%.1f",
+              sweep_seconds, pps, totals.signature_compiles,
+              100.0 * totals.compile_hit_rate(), totals.batch_occupancy());
+  if (warm_start) {
+    std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
+                totals.warm_seeded);
   }
   std::printf("\n");
-  if (profile_stages && engine == "signature") {
+  if (profile_stages) {
     std::printf(
         "stages: enumerate=%.3fs  compile=%.3fs  time=%.3fs  wall=%.3fs  "
         "overlap=%.2fx\n",
@@ -454,12 +437,12 @@ int main(int argc, char** argv) {
   }
   if (verify_legacy) {
     if (mismatches != 0) {
-      std::cerr << mismatches << " grid points differ between the signature "
-                << "and legacy engines\n";
+      std::cerr << mismatches << " grid points differ from per-point "
+                << "find_optimal\n";
       return 1;
     }
     std::cout << "verify-legacy: all " << n_rows
-              << " optima bitwise identical across engines\n";
+              << " optima bitwise identical to per-point find_optimal\n";
   }
   if (ablate_topology) {
     if (ablation_mismatches != 0) {
