@@ -85,4 +85,21 @@ std::string to_string(GpuGeneration gen) {
   return "?";
 }
 
+std::string_view generation_name(GpuGeneration gen) {
+  switch (gen) {
+    case GpuGeneration::A100: return "a100";
+    case GpuGeneration::H200: return "h200";
+    case GpuGeneration::B200: return "b200";
+  }
+  return "?";
+}
+
+std::optional<GpuGeneration> generation_from_name(std::string_view name) {
+  for (const GpuGeneration gen :
+       {GpuGeneration::A100, GpuGeneration::H200, GpuGeneration::B200}) {
+    if (generation_name(gen) == name) return gen;
+  }
+  return std::nullopt;
+}
+
 }  // namespace tfpe::hw

@@ -8,7 +8,9 @@
 // t_sf modeling small-matrix inefficiency (first-order model from the CUDA
 // matmul guide).
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/units.hpp"
 
@@ -41,5 +43,13 @@ GpuSpec b200();
 GpuSpec h100();
 GpuSpec gpu_preset(GpuGeneration gen);
 std::string to_string(GpuGeneration gen);
+
+/// The short config-file / CLI name of a generation: "a100", "h200" or
+/// "b200".
+std::string_view generation_name(GpuGeneration gen);
+
+/// Inverse of generation_name; nullopt for any other text. The one parser of
+/// GPU preset names — [system], [sweep] and the CLI all decode here.
+std::optional<GpuGeneration> generation_from_name(std::string_view name);
 
 }  // namespace tfpe::hw

@@ -1,11 +1,13 @@
 #include "io/config_file.hpp"
 
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace tfpe::io {
@@ -23,25 +25,23 @@ std::int64_t to_int(const Section& s, const std::string& key,
                     std::int64_t fallback) {
   const auto it = s.find(key);
   if (it == s.end()) return fallback;
-  std::size_t pos = 0;
-  const std::int64_t v = std::stoll(it->second, &pos);
-  if (pos != it->second.size()) {
+  const auto v = util::parse_number<std::int64_t>(it->second);
+  if (!v) {
     throw std::runtime_error("config: '" + key + "' expects an integer, got '" +
                              it->second + "'");
   }
-  return v;
+  return *v;
 }
 
 double to_double(const Section& s, const std::string& key, double fallback) {
   const auto it = s.find(key);
   if (it == s.end()) return fallback;
-  std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
-  if (pos != it->second.size()) {
+  const auto v = util::parse_number<double>(it->second);
+  if (!v) {
     throw std::runtime_error("config: '" + key + "' expects a number, got '" +
                              it->second + "'");
   }
-  return v;
+  return *v;
 }
 
 void reject_unknown(const Section& s, const std::set<std::string>& known,
@@ -55,21 +55,13 @@ void reject_unknown(const Section& s, const std::set<std::string>& known,
   }
 }
 
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(value);
-  while (std::getline(in, item, ',')) out.push_back(trim(item));
-  return out;
-}
-
 /// Per-level list of doubles: missing key -> `n` copies of `fallback`;
 /// present key must have exactly `n` comma-separated entries.
 std::vector<double> double_list(const Section& s, const std::string& key,
                                 std::size_t n, double fallback) {
   const auto it = s.find(key);
   if (it == s.end()) return std::vector<double>(n, fallback);
-  const auto items = split_list(it->second);
+  const auto items = util::split_list(it->second);
   if (items.size() != n) {
     throw std::runtime_error("config: '" + key + "' has " +
                              std::to_string(items.size()) + " entries, [" +
@@ -79,18 +71,12 @@ std::vector<double> double_list(const Section& s, const std::string& key,
   std::vector<double> out;
   out.reserve(n);
   for (const auto& item : items) {
-    std::size_t pos = 0;
-    double v = 0;
-    try {
-      v = std::stod(item, &pos);
-    } catch (const std::exception&) {
-      pos = std::string::npos;
-    }
-    if (pos != item.size()) {
+    const auto v = util::parse_number<double>(item);
+    if (!v) {
       throw std::runtime_error("config: '" + key + "' expects numbers, got '" +
                                item + "'");
     }
-    out.push_back(v);
+    out.push_back(*v);
   }
   return out;
 }
@@ -101,20 +87,32 @@ std::vector<std::int64_t> int_list(const Section& s, const std::string& key,
   const auto it = s.find(key);
   if (it == s.end()) return fallback;
   std::vector<std::int64_t> out;
-  for (const auto& item : split_list(it->second)) {
-    std::size_t pos = 0;
-    std::int64_t v = 0;
-    try {
-      v = std::stoll(item, &pos);
-    } catch (const std::exception&) {
-      pos = std::string::npos;
-    }
-    if (pos != item.size()) {
+  for (const auto& item : util::split_list(it->second)) {
+    const auto v = util::parse_number<std::int64_t>(item);
+    if (!v) {
       throw std::runtime_error("config: '" + key +
                                "' expects integers, got '" + item + "'");
     }
-    out.push_back(v);
+    out.push_back(*v);
   }
+  return out;
+}
+
+/// The entries of a comma-separated list, each decoded by `parse`
+/// (nullopt = a bad entry). Throws "<what> entry '<item>' <expect>" on the
+/// first bad entry, or "<what> is empty".
+template <class Parse>
+auto decode_list(const std::string& what, const std::string& value,
+                 const char* expect, Parse parse) {
+  std::vector<typename decltype(parse(value))::value_type> out;
+  for (const std::string& item : util::split_list(value)) {
+    const auto v = parse(item);
+    if (!v) {
+      throw std::runtime_error(what + " entry '" + item + "' " + expect);
+    }
+    out.push_back(*v);
+  }
+  if (out.empty()) throw std::runtime_error(what + " is empty");
   return out;
 }
 
@@ -227,16 +225,16 @@ hw::SystemConfig system_from_section(const Section& s) {
                   "n_gpus", "host_gbs", "enable_tree", "pod_size",
                   "oversubscription"},
                  "system");
-  hw::SystemConfig sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
+  hw::GpuGeneration gen = hw::GpuGeneration::B200;
   if (const auto it = s.find("gpu"); it != s.end()) {
-    if (it->second == "a100") sys = hw::make_system(hw::GpuGeneration::A100, 8, 1024);
-    else if (it->second == "h200") sys = hw::make_system(hw::GpuGeneration::H200, 8, 1024);
-    else if (it->second == "b200") sys = hw::make_system(hw::GpuGeneration::B200, 8, 1024);
-    else {
+    const auto named = hw::generation_from_name(it->second);
+    if (!named) {
       throw std::runtime_error("config: unknown gpu preset '" + it->second +
                                "' (a100|h200|b200)");
     }
+    gen = *named;
   }
+  hw::SystemConfig sys = hw::make_system(gen, 8, 1024);
   sys.gpu.tensor_flops = FlopsPerSec(
       to_double(s, "tensor_tflops", sys.gpu.tensor_flops.value() / 1e12) * 1e12);
   sys.gpu.vector_flops = FlopsPerSec(
@@ -278,7 +276,7 @@ hw::Topology topology_from_section(const Section& s) {
   if (lv == s.end()) {
     throw std::runtime_error("config: [topology] requires 'levels'");
   }
-  const std::vector<std::string> names = split_list(lv->second);
+  const std::vector<std::string> names = util::split_list(lv->second);
   const std::size_t n = names.size();
   if (n == 0) {
     throw std::runtime_error("config: [topology] 'levels' is empty");
@@ -316,10 +314,6 @@ hw::Topology topology_from_section(const Section& s) {
     level.rails = rails[i];
     level.pod_size = static_cast<std::int64_t>(pods[i]);
     level.oversubscription = oversub[i];
-    if (level.name.empty()) {
-      throw std::runtime_error("config: [topology] level " +
-                               std::to_string(i) + " has an empty name");
-    }
     if (!(level.bandwidth > BytesPerSec(0))) {
       throw std::runtime_error("config: [topology] level '" + level.name +
                                "' needs a positive bandwidth");
@@ -425,9 +419,14 @@ core::ServingSpec serving_from_section(const Section& s) {
   core::ServingSpec spec;
   spec.prompt_len = to_int(s, "prompt_len", spec.prompt_len);
   spec.output_len = to_int(s, "output_len", spec.output_len);
-  spec.tp = int_list(s, "tp", spec.tp);
-  spec.pp = int_list(s, "pp", spec.pp);
-  spec.batch = int_list(s, "batch", spec.batch);
+  for (auto [key, axis] : {std::pair{"tp", &spec.tp}, std::pair{"pp", &spec.pp},
+                           std::pair{"batch", &spec.batch}}) {
+    const auto it = s.find(key);
+    if (it != s.end()) {
+      *axis = positive_int_list(std::string("config: [serving] '") + key + "'",
+                                it->second);
+    }
+  }
   spec.kv_cap_fraction = to_double(s, "kv_cap_fraction", spec.kv_cap_fraction);
   spec.max_batch = to_int(s, "max_batch", spec.max_batch);
   if (spec.prompt_len < 1 || spec.output_len < 1) {
@@ -438,20 +437,76 @@ core::ServingSpec serving_from_section(const Section& s) {
     throw std::runtime_error(
         "config: [serving] kv_cap_fraction must lie in (0, 1]");
   }
-  if (spec.tp.empty() || spec.pp.empty() || spec.batch.empty()) {
-    throw std::runtime_error(
-        "config: [serving] tp, pp and batch lists must be non-empty");
-  }
-  for (const auto* axis : {&spec.tp, &spec.pp, &spec.batch}) {
-    for (const std::int64_t v : *axis) {
-      if (v < 1) {
-        throw std::runtime_error(
-            "config: [serving] tp/pp/batch entries must be >= 1");
-      }
-    }
-  }
   if (spec.max_batch < 0) {
     throw std::runtime_error("config: [serving] max_batch must be >= 0");
+  }
+  return spec;
+}
+
+std::vector<std::int64_t> positive_int_list(const std::string& what,
+                                            const std::string& value) {
+  return decode_list(what, value, "must be a positive integer",
+                     [](const std::string& item) {
+                       const auto v = util::parse_number<std::int64_t>(item);
+                       return v && *v >= 1 ? v : std::nullopt;
+                     });
+}
+
+SweepSpec sweep_from_section(const Section& s) {
+  reject_unknown(s,
+                 {"model", "gpu", "nvs", "oversub", "leaf", "gpus", "strategy",
+                  "batch", "output"},
+                 "sweep");
+  SweepSpec spec;
+  for (const auto& [key, value] : s) {
+    const std::string what = "config: [sweep] '" + key + "'";
+    if (key == "model") {
+      spec.models = decode_list(
+          what, value, "is not a known model preset",
+          [](const std::string& name) -> std::optional<std::string> {
+            if (!model::preset_by_name(name)) return std::nullopt;
+            return name;
+          });
+    } else if (key == "gpu") {
+      spec.generations = decode_list(
+          what, value, "is not a known gpu preset (a100|h200|b200)",
+          [](const std::string& name) {
+            return hw::generation_from_name(name);
+          });
+    } else if (key == "strategy") {
+      // `all` expands in place to every strategy.
+      std::string expanded;
+      for (const std::string& item : util::split_list(value)) {
+        expanded += (item == "all" ? "1d, 2d, summa" : item) + ", ";
+      }
+      spec.strategies = decode_list(
+          what, expanded, "is not a strategy (1d|2d|summa|all)",
+          [](const std::string& name) {
+            return parallel::strategy_from_name(name);
+          });
+    } else if (key == "oversub") {
+      spec.oversub = decode_list(
+          what, value, "must be a ratio >= 1", [](const std::string& item) {
+            const auto v = util::parse_number<double>(item);
+            return v && *v >= 1.0 ? v : std::nullopt;
+          });
+    } else if (key == "nvs") {
+      spec.nvs = positive_int_list(what, value);
+    } else if (key == "gpus") {
+      spec.gpus = positive_int_list(what, value);
+    } else if (key == "batch") {
+      spec.batches = positive_int_list(what, value);
+    } else if (key == "leaf") {
+      const auto leaf = positive_int_list(what, value);
+      if (leaf.size() != 1) {
+        throw std::runtime_error(what + " takes one pod size, got '" + value +
+                                 "'");
+      }
+      spec.leaf = leaf.front();
+    } else {  // output
+      if (value.empty()) throw std::runtime_error(what + " is empty");
+      spec.output = value;
+    }
   }
   return spec;
 }
@@ -476,6 +531,9 @@ LoadedConfig load_config_file(const std::string& path) {
   }
   if (const auto it = sections.find("serving"); it != sections.end()) {
     out.serving = serving_from_section(it->second);
+  }
+  if (const auto it = sections.find("sweep"); it != sections.end()) {
+    out.sweep = sweep_from_section(it->second);
   }
   return out;
 }

@@ -55,6 +55,17 @@
 //   kv_cap_fraction = 0.9          # HBM share the KV cache may occupy
 //   max_batch = 0                  # scheduler cap; 0 = uncapped
 //
+//   [sweep]                        # `tfpe sweep` grid (io::SweepSpec)
+//   model = gpt3-1t, vit-64k       # model presets
+//   gpu = a100, b200               # GPU generation presets
+//   nvs = 4, 8, 64                 # NVS-domain sizes
+//   oversub = 1, 4                 # spine oversubscription (1 = two-level)
+//   leaf = 64                      # leaf-pod GPUs for oversub > 1 points
+//   gpus = 1024, 4096, 16384       # total GPU counts
+//   strategy = 1d, 2d, summa       # TP strategies; `all` = all three
+//   batch = 4096                   # global batches
+//   output = sweep.csv             # CSV path (tfpe sweep --output wins)
+//
 //   [topology]                     # optional hierarchical fabric override
 //   levels = nvs, leaf, spine      # innermost first
 //   fan_in = 8, 4, 16              # children per element; 0 = unbounded top
@@ -77,11 +88,13 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/workload.hpp"
 #include "hw/system.hpp"
 #include "model/shape_family.hpp"
 #include "model/transformer.hpp"
+#include "parallel/parallel_config.hpp"
 
 namespace tfpe::io {
 
@@ -132,6 +145,35 @@ model::ShapeFamilyOptions codesign_from_section(const Section& s);
 /// io/config_lint reports as TFPE-CFG-004 diagnostics.
 core::ServingSpec serving_from_section(const Section& s);
 
+/// The typed axes of a [sweep] section; an absent key keeps its default.
+/// `tfpe sweep` runs the cross product in member order (models outermost,
+/// batches innermost), one CSV row per point.
+struct SweepSpec {
+  std::vector<std::string> models{"gpt3-1t"};  ///< model preset names
+  std::vector<hw::GpuGeneration> generations{hw::GpuGeneration::B200};
+  std::vector<std::int64_t> nvs{8};
+  std::vector<double> oversub{1.0};  ///< spine ratio; 1 = two-level fabric
+  std::int64_t leaf = 64;            ///< leaf-pod GPUs for oversub > 1
+  std::vector<std::int64_t> gpus{1024};
+  std::vector<parallel::TpStrategy> strategies{parallel::TpStrategy::TP1D};
+  std::vector<std::int64_t> batches{4096};
+  std::string output = "sweep.csv";
+};
+
+/// Build sweep axes from a [sweep] section — the one decoder of [sweep]
+/// values. `strategy = all` expands in place to 1d, 2d, summa. Throws
+/// std::runtime_error on an unknown key, an empty list or a bad entry,
+/// naming the key and the entry: unknown model / gpu preset or strategy,
+/// a non-positive nvs / gpus / batch / leaf, or an oversub below 1.
+SweepSpec sweep_from_section(const Section& s);
+
+/// Decode a comma-separated list of positive integers (a [sweep] axis or a
+/// list-valued CLI flag). Throws std::runtime_error "<what> entry '<item>'
+/// must be a positive integer" on the first bad entry, or "<what> is
+/// empty".
+std::vector<std::int64_t> positive_int_list(const std::string& what,
+                                            const std::string& value);
+
 struct LoadedConfig {
   std::optional<model::TransformerConfig> model;
   std::optional<hw::SystemConfig> system;
@@ -141,6 +183,8 @@ struct LoadedConfig {
   std::optional<model::ShapeFamilyOptions> codesign;
   /// Parsed [serving] grid (tfpe serve-plan's --config path).
   std::optional<core::ServingSpec> serving;
+  /// Parsed [sweep] axes (tfpe sweep's spec).
+  std::optional<SweepSpec> sweep;
 };
 
 /// Parse a whole file; throws std::runtime_error if it cannot be read.

@@ -22,7 +22,7 @@ using analysis::DiagnosticSink;
 using analysis::RuleId;
 
 /// Per-section key schemas — mirror the reject_unknown sets of the loaders
-/// (config_file.cpp / plan_io.cpp / tfpe_sweep.cpp).
+/// (config_file.cpp / plan_io.cpp).
 const std::set<std::string>& section_keys(const std::string& section) {
   static const std::set<std::string> kModel{
       "name", "seq_len", "embed",       "heads",     "depth",
@@ -74,27 +74,15 @@ bool known_section(const std::string& section) {
 }
 
 bool parses_as_double(const std::string& value, double* out = nullptr) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size()) return false;
-    if (out) *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+  const auto v = util::parse_number<double>(value);
+  if (v && out) *out = *v;
+  return v.has_value();
 }
 
 bool parses_as_int(const std::string& value, std::int64_t* out = nullptr) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(value, &pos);
-    if (pos != value.size()) return false;
-    if (out) *out = v;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
+  const auto v = util::parse_number<std::int64_t>(value);
+  if (v && out) *out = *v;
+  return v.has_value();
 }
 
 /// Extract "N" from "config line N: ..." parser messages; 0 when absent.
@@ -291,8 +279,7 @@ class ConfigLinter {
       }
     }
     if (const auto it = s->find("strategy"); it != s->end()) {
-      if (it->second != "1d" && it->second != "2d" &&
-          it->second != "summa") {
+      if (!parallel::strategy_from_name(it->second)) {
         emit(RuleId::kConfigValue, "plan", "strategy", 0, 0,
              "unknown strategy '" + it->second + "' (1d|2d|summa)");
       }
@@ -308,49 +295,19 @@ class ConfigLinter {
     }
   }
 
+  /// [sweep] axes: each known key is decoded on its own by the loader
+  /// (sweep_from_section), so the lint accepts exactly what `tfpe sweep`
+  /// accepts and reports each bad key once, at its own line.
   void lint_sweep() {
     const Section* s = section("sweep");
     if (!s) return;
-    const auto check_axis = [&](const std::string& key, auto&& valid,
-                                const char* expect) {
-      const auto it = s->find(key);
-      if (it == s->end()) return;
-      for (const std::string& item : util::split_list(it->second)) {
-        if (!valid(item)) {
-          emit(RuleId::kConfigValue, "sweep", key, 0, 0,
-               "'" + key + "' entry '" + item + "' " + expect);
-        }
+    for (const auto& [key, value] : known_subset("sweep", *s)) {
+      try {
+        (void)sweep_from_section(Section{{key, value}});
+      } catch (const std::exception& e) {
+        emit(RuleId::kConfigValue, "sweep", key, 0, 0, e.what());
       }
-    };
-    check_axis("model",
-               [](const std::string& v) {
-                 return model::preset_by_name(v).has_value();
-               },
-               "is not a known model preset");
-    check_axis("gpu",
-               [](const std::string& v) {
-                 return v == "a100" || v == "h200" || v == "b200";
-               },
-               "is not a known gpu preset (a100|h200|b200)");
-    check_axis("strategy",
-               [](const std::string& v) {
-                 return v == "1d" || v == "2d" || v == "summa";
-               },
-               "is not a strategy (1d|2d|summa)");
-    const auto positive_int = [](const std::string& v) {
-      std::int64_t i = 0;
-      return parses_as_int(v, &i) && i >= 1;
-    };
-    check_axis("nvs", positive_int, "must be a positive integer");
-    check_axis("gpus", positive_int, "must be a positive integer");
-    check_axis("batch", positive_int, "must be a positive integer");
-    check_axis("leaf", positive_int, "must be a positive integer");
-    check_axis("oversub",
-               [](const std::string& v) {
-                 double d = 0;
-                 return parses_as_double(v, &d) && d >= 1.0;
-               },
-               "must be a ratio >= 1");
+    }
   }
 
   void lint_calibration() {

@@ -21,6 +21,23 @@ std::string to_string(TpStrategy s) {
   return "?";
 }
 
+std::string_view strategy_name(TpStrategy s) {
+  switch (s) {
+    case TpStrategy::TP1D: return "1d";
+    case TpStrategy::TP2D: return "2d";
+    case TpStrategy::Summa2D: return "summa";
+  }
+  return "?";
+}
+
+std::optional<TpStrategy> strategy_from_name(std::string_view name) {
+  for (const TpStrategy s :
+       {TpStrategy::TP1D, TpStrategy::TP2D, TpStrategy::Summa2D}) {
+    if (strategy_name(s) == name) return s;
+  }
+  return std::nullopt;
+}
+
 std::int64_t ParallelConfig::local_microbatch(std::int64_t global_batch) const {
   return global_batch / (nd * microbatches);
 }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "hw/system.hpp"
 #include "model/transformer.hpp"
@@ -21,6 +22,13 @@ namespace tfpe::parallel {
 enum class TpStrategy { TP1D, TP2D, Summa2D };
 
 std::string to_string(TpStrategy s);
+
+/// The short config-file / CLI name of a strategy: "1d", "2d" or "summa".
+std::string_view strategy_name(TpStrategy s);
+
+/// Inverse of strategy_name; nullopt for any other text. The one parser of
+/// strategy names — plan files, [sweep] specs and the CLI all decode here.
+std::optional<TpStrategy> strategy_from_name(std::string_view name);
 
 /// How far the data-parallel group shards training state (paper §V
 /// limitations: "weights (and gradients) can also be partitioned using DP at

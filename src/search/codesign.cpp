@@ -277,6 +277,9 @@ CodesignResult run_codesign(const std::vector<model::TransformerConfig>& shapes,
     out.stats.layer_cache_hits += layer_cache.hits();
   }
 
+  for (const CodesignResult::Winner& w : out.best) {
+    if (w.best.feasible) ++out.stats.feasible_points;
+  }
   out.stats.enumerations = cand_cache.builds();
   out.stats.enumeration_hits = cand_cache.hits();
   out.stats.candidates = cand_cache.candidates();

@@ -134,22 +134,26 @@ struct CodesignOptions {
   /// apply: search.top_k and search.threads must stay 0. (The verification
   /// reference — one find_optimal per (shape, point) — is a plain loop in
   /// the callers that need it: bench_codesign, tfpe codesign
-  /// --verify-per-shape, tfpe-sweep --arch --verify-legacy.)
+  /// --verify-per-shape, tfpe sweep --arch --verify-legacy.)
   SweepOptions sweep;
 
   /// Screen whole shapes with core::shape_time_floor against the per-point
   /// cross-shape incumbent (see header). Winners are unaffected bit for
   /// bit; pruned (shape, point) entries are flagged instead of evaluated.
   /// Set false when the full exact per-shape matrix is the product wanted
-  /// (e.g. tfpe-sweep --arch CSV dumps).
+  /// (e.g. tfpe sweep --arch CSV dumps).
   bool prune_shapes = true;
 };
 
-/// Work counters for one co-design run. All except `profile` are invariant
-/// to the thread count.
-struct CodesignStats {
+/// Work counters for one co-design run: the SweepStats scan counters, with
+/// the same meaning, summed over all scanned (shape, point) pairs, plus the
+/// shape-level counters below. `points` is the hardware grid size and
+/// `candidates` the summed size of the distinct (shape, scale) candidate
+/// lists; `feasible_points` counts the grid points with a feasible winner
+/// and feasible_shape_points the feasible (shape, point) pairs. All except
+/// `profile` are invariant to the thread count.
+struct CodesignStats : SweepStats {
   std::size_t shapes = 0;            ///< family size
-  std::size_t points = 0;            ///< hardware grid size
   /// (shape, point) pairs skipped by the architecture-level floor…
   std::size_t shapes_pruned = 0;
   /// …and pairs actually scanned (pruned + evaluated = shapes * points).
@@ -157,34 +161,9 @@ struct CodesignStats {
   std::size_t feasible_shape_points = 0;
 
   /// CandidateCache builds (distinct (shape, scale) lists enumerated) /
-  /// hits, and the summed size of the distinct lists.
+  /// hits.
   std::size_t enumerations = 0;
   std::size_t enumeration_hits = 0;
-  std::size_t candidates = 0;
-
-  /// Scan-level work, summed over all scanned (shape, point) pairs —
-  /// same meaning as the SweepStats counters.
-  std::size_t evaluated = 0;
-  std::size_t bound_pruned = 0;
-  std::size_t memory_pruned = 0;
-  std::size_t batch_calls = 0;
-  std::size_t batch_placements = 0;
-  std::size_t warm_seeded = 0;
-  std::size_t warm_seed_feasible = 0;
-  std::size_t signature_compiles = 0;
-  std::size_t signature_cache_hits = 0;
-  /// Chain-held signature reuses (no cache probe) — same semantics as
-  /// SweepStats::signature_reuses.
-  std::size_t signature_reuses = 0;
-  std::size_t signature_lowers = 0;
-  std::size_t batched_cache_hits = 0;
-  std::size_t build_layer_calls = 0;
-  std::size_t layer_cache_hits = 0;
-  std::size_t placement_sets = 0;
-  std::size_t placement_cache_hits = 0;
-
-  /// Busy seconds per stage + wall clock; schedule-dependent.
-  SweepStats::StageProfile profile;
 };
 
 struct CodesignResult {

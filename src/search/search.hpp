@@ -143,6 +143,13 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
 /// makes their optima identical configuration-for-configuration.
 bool better_result(const core::EvalResult& a, const core::EvalResult& b);
 
+/// True when `a` and `b` are the same optimum bit for bit: equal
+/// feasibility and, when feasible, the same configuration
+/// (cfg.describe()), iteration time and HBM total. The equivalence every
+/// engine-vs-find_optimal cross-check (tfpe sweep --verify-legacy,
+/// tfpe codesign --verify-per-shape, the bench drivers) asserts.
+bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
+
 /// The candidate parallelizations find_optimal scans: enumerate_parallel
 /// expanded by the interleave / ZeRO-3 / ring-attention axes. Depends on
 /// the SYSTEM only through its GPU count (or opts.n_gpus), never on the

@@ -267,7 +267,14 @@ TEST(Codesign, StatsAreThreadInvariant) {
     opts.sweep.threads = i == 0 ? 1 : 4;
     const auto run = search::run_codesign(shapes, points, opts);
     stats[i] = run.stats;
+    // feasible_points keeps its SweepStats meaning: points with a feasible
+    // optimum (here, a feasible winning shape).
+    std::size_t feasible_winners = 0;
+    for (const auto& w : run.best) feasible_winners += w.best.feasible;
+    EXPECT_GT(feasible_winners, 0u);
+    EXPECT_EQ(run.stats.feasible_points, feasible_winners);
   }
+  EXPECT_EQ(stats[0].feasible_points, stats[1].feasible_points);
   EXPECT_EQ(stats[0].shapes_pruned, stats[1].shapes_pruned);
   EXPECT_EQ(stats[0].shapes_evaluated, stats[1].shapes_evaluated);
   EXPECT_EQ(stats[0].feasible_shape_points, stats[1].feasible_shape_points);

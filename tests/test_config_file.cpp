@@ -203,5 +203,139 @@ TEST(LoadConfigFile, ParsesCodesignSection) {
   EXPECT_EQ(loaded.codesign->depths, (std::vector<std::int64_t>{96, 128}));
 }
 
+TEST(SweepSection, DefaultsAndTypedAxes) {
+  const SweepSpec defaults = sweep_from_section({});
+  EXPECT_EQ(defaults.models, (std::vector<std::string>{"gpt3-1t"}));
+  EXPECT_EQ(defaults.generations,
+            (std::vector<hw::GpuGeneration>{hw::GpuGeneration::B200}));
+  EXPECT_EQ(defaults.leaf, 64);
+  EXPECT_EQ(defaults.output, "sweep.csv");
+
+  const SweepSpec spec = sweep_from_section(
+      parse("[sweep]\nmodel = gpt3-175b, vit-32k\ngpu = a100, h200\n"
+            "nvs = 4, 8\noversub = 1, 2.5\nleaf = 16\ngpus = 64, 128\n"
+            "strategy = summa, 1d\nbatch = 256\noutput = out.csv\n")
+          .at("sweep"));
+  EXPECT_EQ(spec.models, (std::vector<std::string>{"gpt3-175b", "vit-32k"}));
+  EXPECT_EQ(spec.generations,
+            (std::vector<hw::GpuGeneration>{hw::GpuGeneration::A100,
+                                            hw::GpuGeneration::H200}));
+  EXPECT_EQ(spec.nvs, (std::vector<std::int64_t>{4, 8}));
+  EXPECT_EQ(spec.oversub, (std::vector<double>{1.0, 2.5}));
+  EXPECT_EQ(spec.leaf, 16);
+  EXPECT_EQ(spec.gpus, (std::vector<std::int64_t>{64, 128}));
+  EXPECT_EQ(spec.strategies,
+            (std::vector<parallel::TpStrategy>{parallel::TpStrategy::Summa2D,
+                                               parallel::TpStrategy::TP1D}));
+  EXPECT_EQ(spec.batches, (std::vector<std::int64_t>{256}));
+  EXPECT_EQ(spec.output, "out.csv");
+}
+
+TEST(SweepSection, StrategyAllExpandsInPlace) {
+  const SweepSpec spec = sweep_from_section({{"strategy", "2d, all"}});
+  using parallel::TpStrategy;
+  EXPECT_EQ(spec.strategies,
+            (std::vector<TpStrategy>{TpStrategy::TP2D, TpStrategy::TP1D,
+                                     TpStrategy::TP2D, TpStrategy::Summa2D}));
+}
+
+TEST(SweepSection, ErrorsNameTheKeyAndTheEntry) {
+  const auto message = [](const Section& s) -> std::string {
+    try {
+      (void)sweep_from_section(s);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message({{"gpus", "64, abc"}}),
+            "config: [sweep] 'gpus' entry 'abc' must be a positive integer");
+  EXPECT_EQ(message({{"nvs", "0"}}),
+            "config: [sweep] 'nvs' entry '0' must be a positive integer");
+  EXPECT_EQ(message({{"leaf", "x"}}),
+            "config: [sweep] 'leaf' entry 'x' must be a positive integer");
+  EXPECT_EQ(message({{"batch", ""}}), "config: [sweep] 'batch' is empty");
+  EXPECT_EQ(message({{"oversub", "0.5"}}),
+            "config: [sweep] 'oversub' entry '0.5' must be a ratio >= 1");
+  EXPECT_EQ(message({{"strategy", "3d"}}),
+            "config: [sweep] 'strategy' entry '3d' is not a strategy "
+            "(1d|2d|summa|all)");
+  EXPECT_EQ(message({{"gpu", "k80"}}),
+            "config: [sweep] 'gpu' entry 'k80' is not a known gpu preset "
+            "(a100|h200|b200)");
+  EXPECT_EQ(message({{"model", "gpt5"}}),
+            "config: [sweep] 'model' entry 'gpt5' is not a known model "
+            "preset");
+  EXPECT_EQ(message({{"modle", "vit-64k"}}),
+            "config: unknown key 'modle' in [sweep]");
+}
+
+TEST(ServingSection, AxesShareThePositiveIntegerDecoder) {
+  const auto message = [](const Section& s) -> std::string {
+    try {
+      (void)serving_from_section(s);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const core::ServingSpec spec =
+      serving_from_section({{"tp", "1, 2, 4"}, {"batch", "8"}});
+  EXPECT_EQ(spec.tp, (std::vector<std::int64_t>{1, 2, 4}));
+  EXPECT_EQ(spec.pp, core::ServingSpec{}.pp);
+  EXPECT_EQ(spec.batch, (std::vector<std::int64_t>{8}));
+  EXPECT_EQ(message({{"tp", "4, abc"}}),
+            "config: [serving] 'tp' entry 'abc' must be a positive integer");
+  EXPECT_EQ(message({{"pp", "0"}}),
+            "config: [serving] 'pp' entry '0' must be a positive integer");
+  EXPECT_EQ(message({{"batch", ","}}), "config: [serving] 'batch' is empty");
+}
+
+TEST(ScalarKeys, BadNumbersNameTheKeyNotTheParser) {
+  const auto message = [](const std::string& text) -> std::string {
+    try {
+      (void)model_from_section(parse(text).at("model"));
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(message("[model]\nseq_len = abc\n"),
+            "config: 'seq_len' expects an integer, got 'abc'");
+  EXPECT_EQ(message("[model]\nseq_len = 99999999999999999999\n"),
+            "config: 'seq_len' expects an integer, got "
+            "'99999999999999999999'");
+}
+
+TEST(PositiveIntList, NamesTheFlagOnABadEntry) {
+  EXPECT_EQ(positive_int_list("--nvs", "4, 8"),
+            (std::vector<std::int64_t>{4, 8}));
+  try {
+    (void)positive_int_list("--nvs", "8, abc");
+    ADD_FAILURE() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "--nvs entry 'abc' must be a positive integer");
+  }
+  EXPECT_THROW(positive_int_list("--nvs", "8x"), std::runtime_error);
+  EXPECT_THROW(positive_int_list("--nvs", "-8"), std::runtime_error);
+  EXPECT_THROW(positive_int_list("--nvs", ""), std::runtime_error);
+}
+
+TEST(NameParsers, RoundTripEveryEnumerator) {
+  using parallel::TpStrategy;
+  for (const TpStrategy s :
+       {TpStrategy::TP1D, TpStrategy::TP2D, TpStrategy::Summa2D}) {
+    EXPECT_EQ(parallel::strategy_from_name(parallel::strategy_name(s)), s);
+  }
+  EXPECT_FALSE(parallel::strategy_from_name("all").has_value());
+  EXPECT_FALSE(parallel::strategy_from_name("1D").has_value());
+  for (const hw::GpuGeneration g :
+       {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+        hw::GpuGeneration::B200}) {
+    EXPECT_EQ(hw::generation_from_name(hw::generation_name(g)), g);
+  }
+  EXPECT_FALSE(hw::generation_from_name("h100").has_value());
+}
+
 }  // namespace
 }  // namespace tfpe::io

@@ -7,6 +7,10 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "io/config_file.hpp"
 
 namespace tfpe {
 namespace {
@@ -172,6 +176,47 @@ TEST(ConfigLint, SweepAxisValuesAreValidated) {
       "strategy = 1d\n");
   EXPECT_EQ(count_rule(report, RuleId::kConfigValue), 4u)
       << report.summary();
+}
+
+// The lint and the loader share one decoder: over mutated [sweep] texts,
+// config_lint reports an error exactly when io::sweep_from_section throws,
+// each bad key once, and every message names its key — never a bare
+// standard-library exception text such as "stoll".
+TEST(ConfigLint, SweepLintAgreesWithTheLoader) {
+  const std::string base =
+      "[sweep]\nmodel = gpt3-175b\ngpu = b200\nnvs = 8\ngpus = 64\n"
+      "batch = 256\n";
+  const std::vector<std::pair<std::string, bool>> mutations{
+      {"strategy = all", true},      {"strategy = 1d, summa", true},
+      {"oversub = 1, 4\nleaf = 16", true},
+      {"gpus = abc", false},         {"gpus = 0", false},
+      {"leaf = x", false},           {"nvs = 0", false},
+      {"modle = vit-64k", false},    {"oversub = 0.5", false},
+      {"strategy = 3d", false},      {"batch = 256x", false},
+      {"gpu = k80", false}};
+  for (const auto& [line, valid] : mutations) {
+    const std::string text = base + line + "\n";
+    std::istringstream in(text);
+    const io::ConfigSections sections = io::parse_config(in);
+    bool throws = false;
+    try {
+      (void)io::sweep_from_section(sections.at("sweep"));
+    } catch (const std::runtime_error&) {
+      throws = true;
+    }
+    EXPECT_EQ(throws, !valid) << line;
+    const LintReport report = lint(text);
+    EXPECT_EQ(report.errors() > 0, throws) << line << "\n"
+                                           << report.summary();
+    EXPECT_LE(report.errors(), 1u) << line << "\n" << report.summary();
+    const std::string key = line.substr(0, line.find(' '));
+    for (const auto& d : report.diagnostics) {
+      EXPECT_NE(d.message.find("'" + key + "'"), std::string::npos)
+          << line << ": " << d.message;
+      EXPECT_NE(d.message, "stoll");
+      EXPECT_NE(d.message, "stod");
+    }
+  }
 }
 
 TEST(ConfigLint, CalibrationSchemaIsChecked) {

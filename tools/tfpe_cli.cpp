@@ -11,15 +11,17 @@
 // Prints the optimal configuration panel, optionally the top-k list, the
 // per-op roofline report, hardware elasticities, and a CSV mirror.
 
+#include <charconv>
+#include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
-
-#include <chrono>
 
 #include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
 #include "core/batched_signature.hpp"
 #include "core/training_estimate.hpp"
+#include "hw/topology.hpp"
 #include "io/config_file.hpp"
 #include "io/config_lint.hpp"
 #include "io/plan_io.hpp"
@@ -32,6 +34,7 @@
 #include "report/sensitivity.hpp"
 #include "search/search.hpp"
 #include "util/args.hpp"
+#include "util/csv.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
 
@@ -79,6 +82,8 @@ int usage(const char* msg) {
       "  --markdown PATH     write a Markdown report\n"
       "\n"
       "subcommands:\n"
+      "  sweep SPEC          optimize a [sweep] grid, one CSV row per point\n"
+      "                      (see: tfpe sweep --help)\n"
       "  lint [PLAN_PATH]    check built op lists against the paper's\n"
       "                      conservation laws (see: tfpe lint --help)\n"
       "  codesign            iso-parameter architecture x config search\n"
@@ -86,13 +91,6 @@ int usage(const char* msg) {
       "  serve-plan          latency/throughput Pareto front for inference\n"
       "                      serving (see: tfpe serve-plan --help)\n";
   return msg ? 2 : 0;
-}
-
-std::optional<hw::GpuGeneration> gen_by_name(const std::string& s) {
-  if (s == "a100") return hw::GpuGeneration::A100;
-  if (s == "h200") return hw::GpuGeneration::H200;
-  if (s == "b200") return hw::GpuGeneration::B200;
-  return std::nullopt;
 }
 
 // --- `tfpe lint`: op-graph invariant analyzer front end -------------------
@@ -248,40 +246,26 @@ int lint_file(const std::string& path, const util::ArgParser& args,
   }
 
   if (const auto it = sections.find("sweep"); it != sections.end()) {
+    std::optional<io::SweepSpec> spec;
     try {
-      const io::Section& spec = it->second;
-      const auto axis = [&](const char* key, const char* fallback) {
-        const auto found = spec.find(key);
-        return util::split_list(found != spec.end() ? found->second
-                                                    : fallback);
-      };
-      std::vector<hw::GpuGeneration> gens;
-      for (const auto& name : axis("gpu", "b200")) {
-        if (const auto gen = gen_by_name(name)) gens.push_back(*gen);
+      spec = io::sweep_from_section(it->second);
+    } catch (const std::exception&) {
+      // The schema pass already reported the bad entry at its own line.
+    }
+    if (spec) {
+      try {
+        std::vector<hw::SystemConfig> points;
+        for (const std::int64_t n : spec->gpus) {
+          const auto grid = search::hardware_grid(
+              spec->generations, spec->nvs, spec->oversub, n, spec->leaf);
+          points.insert(points.end(), grid.begin(), grid.end());
+        }
+        sink.merge(search::lint_sweep_plan(
+            *model::preset_by_name(spec->models.front()), points,
+            search::SweepOptions{}, opts));
+      } catch (const std::exception& e) {
+        fail_section("sweep", e.what());
       }
-      std::vector<std::int64_t> nvs;
-      for (const auto& v : axis("nvs", "8")) nvs.push_back(std::stoll(v));
-      std::vector<double> oversub;
-      for (const auto& v : axis("oversub", "1")) {
-        oversub.push_back(std::stod(v));
-      }
-      const auto leaf_it = spec.find("leaf");
-      const std::int64_t leaf =
-          leaf_it != spec.end() ? std::stoll(leaf_it->second) : 64;
-      std::vector<hw::SystemConfig> points;
-      for (const auto& v : axis("gpus", "1024")) {
-        const auto grid = search::hardware_grid(gens, nvs, oversub,
-                                                std::stoll(v), leaf);
-        points.insert(points.end(), grid.begin(), grid.end());
-      }
-      const auto model_axis = axis("model", "gpt3-1t");
-      const auto sweep_mdl = model::preset_by_name(
-          model_axis.empty() ? "gpt3-1t" : model_axis.front());
-      sink.merge(search::lint_sweep_plan(sweep_mdl ? *sweep_mdl : *mdl,
-                                         points, search::SweepOptions{},
-                                         opts));
-    } catch (const std::exception& e) {
-      fail_section("sweep", e.what());
     }
   }
 
@@ -394,6 +378,27 @@ int run_lint(const util::ArgParser& args) {
   return finish_lint(sink.take(), format, strict);
 }
 
+/// The per-(shape, point) reference of `tfpe sweep --verify-legacy` and
+/// `tfpe codesign --verify-per-shape`: one plain find_optimal on (mdl, sys)
+/// with the engine's candidate space and thread budget. When `got` is
+/// given and differs bitwise, counts and reports a mismatch at `where`.
+/// Returns the reference optimum.
+core::EvalResult check_find_optimal(const model::TransformerConfig& mdl,
+                                    const hw::SystemConfig& sys,
+                                    const search::SweepOptions& opts,
+                                    const core::EvalResult* got,
+                                    const std::string& where,
+                                    std::size_t& mismatches) {
+  search::SearchOptions per_point = opts.search;
+  per_point.threads = opts.threads;
+  core::EvalResult ref = search::find_optimal(mdl, sys, per_point).best;
+  if (got && !search::same_optimum(*got, ref)) {
+    ++mismatches;
+    std::cerr << "MISMATCH at " << where << "\n";
+  }
+  return ref;
+}
+
 // --- `tfpe codesign`: architecture x configuration co-design search -------
 
 int codesign_usage(const char* msg) {
@@ -462,13 +467,15 @@ int run_codesign_cmd(const util::ArgParser& args) {
   std::vector<hw::GpuGeneration> gens;
   for (const auto& name :
        util::split_list(args.get_or("gpu", "a100,h200,b200"))) {
-    const auto gen = gen_by_name(name);
+    const auto gen = hw::generation_from_name(name);
     if (!gen) return codesign_usage(("unknown gpu '" + name + "'").c_str());
     gens.push_back(*gen);
   }
   std::vector<std::int64_t> nvs;
-  for (const auto& v : util::split_list(args.get_or("nvs", "8"))) {
-    nvs.push_back(std::stoll(v));
+  try {
+    nvs = io::positive_int_list("--nvs", args.get_or("nvs", "8"));
+  } catch (const std::exception& e) {
+    return codesign_usage(e.what());
   }
   const std::int64_t n_gpus = args.get_int_or("gpus", 1024);
 
@@ -552,43 +559,24 @@ int run_codesign_cmd(const util::ArgParser& args) {
     // matrix entry and every winner must match bitwise.
     std::size_t mismatches = 0;
     for (std::size_t p = 0; p < points.size(); ++p) {
+      const std::string where =
+          points[p].gpu.name + " nvs" + std::to_string(points[p].nvs_domain);
       core::EvalResult ref;
       std::size_t ref_shape = search::CodesignResult::kNoShape;
       for (std::size_t s = 0; s < shapes.size(); ++s) {
-        search::SearchOptions per_point = opts.sweep.search;
-        per_point.threads = opts.sweep.threads;
-        const auto direct =
-            search::find_optimal(shapes[s], points[p], per_point);
-        if (search::better_result(direct.best, ref)) {
-          ref = direct.best;
+        const core::EvalResult direct = check_find_optimal(
+            shapes[s], points[p], opts.sweep,
+            run.pruned[s][p] ? nullptr : &run.per_shape[s][p],
+            shapes[s].name + " x " + where, mismatches);
+        if (search::better_result(direct, ref)) {
+          ref = direct;
           ref_shape = s;
-        }
-        if (run.pruned[s][p]) continue;
-        const auto& got = run.per_shape[s][p];
-        const bool same =
-            direct.best.feasible == got.feasible &&
-            (!got.feasible ||
-             (direct.best.cfg.describe() == got.cfg.describe() &&
-              direct.best.iteration() == got.iteration() &&
-              direct.best.mem.total().value() == got.mem.total().value()));
-        if (!same) {
-          ++mismatches;
-          std::cerr << "MISMATCH at " << shapes[s].name << " x "
-                    << points[p].gpu.name << " nvs" << points[p].nvs_domain
-                    << "\n";
         }
       }
       const auto& w = run.best[p];
-      const bool winner_same =
-          ref_shape == w.shape &&
-          (ref_shape == search::CodesignResult::kNoShape ||
-           (ref.cfg.describe() == w.best.cfg.describe() &&
-            ref.iteration() == w.best.iteration() &&
-            ref.mem.total().value() == w.best.mem.total().value()));
-      if (!winner_same) {
+      if (ref_shape != w.shape || !search::same_optimum(ref, w.best)) {
         ++mismatches;
-        std::cerr << "WINNER MISMATCH at " << points[p].gpu.name << " nvs"
-                  << points[p].nvs_domain << "\n";
+        std::cerr << "WINNER MISMATCH at " << where << "\n";
       }
     }
     if (mismatches != 0) {
@@ -603,6 +591,272 @@ int run_codesign_cmd(const util::ArgParser& args) {
   if (!csv.empty()) {
     report::write_results_csv(csv, rows);
     std::cout << "CSV written to " << csv << "\n";
+  }
+  return 0;
+}
+
+// --- `tfpe sweep`: optimal configuration over a [sweep] grid --------------
+
+int sweep_usage(const char* msg) {
+  if (msg) std::cerr << "error: " << msg << "\n\n";
+  std::cerr <<
+      "usage: tfpe sweep SPEC [--output PATH] [--threads N] [--warm-start]\n"
+      "                  [--profile-stages] [--verify-legacy]\n"
+      "                  [--ablate-topology] [--arch]\n"
+      "\n"
+      "Optimizes every point of SPEC's [sweep] cross product (model x gpu x\n"
+      "nvs x oversub x gpus x strategy x batch; keys in io/config_file.hpp)\n"
+      "through the sweep engine and writes one CSV row per point.\n"
+      "\n"
+      "  --output PATH       CSV path (default: the spec's output, sweep.csv)\n"
+      "  --threads N         worker threads (0 = hardware concurrency)\n"
+      "  --warm-start        seed each point from its chain predecessor\n"
+      "  --profile-stages    print per-stage busy seconds and their overlap\n"
+      "  --verify-legacy     re-run every row as a plain find_optimal; exits\n"
+      "                      1 unless every optimum is bitwise identical\n"
+      "  --ablate-topology   re-run two-level points under the degenerate\n"
+      "                      three-level fabric; exits 1 on any difference\n"
+      "  --arch              expand each model into its iso-parameter family\n"
+      "                      ([codesign]); one row per (shape, point)\n";
+  return msg ? 2 : 0;
+}
+
+int run_sweep_cmd(const util::ArgParser& args) {
+  if (args.has("help")) return sweep_usage(nullptr);
+  const auto& pos = args.positional();
+  if (pos.size() != 2) return sweep_usage("expected one sweep spec");
+  const io::LoadedConfig file_cfg = io::load_config_file(pos[1]);
+  if (!file_cfg.sweep) return sweep_usage("spec has no [sweep] section");
+  const io::SweepSpec& spec = *file_cfg.sweep;
+  const std::string output = args.get_or("output", spec.output);
+  const auto threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+  const bool warm_start = args.has("warm-start");
+  const bool profile_stages = args.has("profile-stages");
+  const bool verify_legacy = args.has("verify-legacy");
+  const bool ablate_topology = args.has("ablate-topology");
+  const bool arch = args.has("arch");
+  if (const auto stray = args.unused(); !stray.empty()) {
+    return sweep_usage(("unknown flag --" + stray.front()).c_str());
+  }
+  if (arch && ablate_topology) {
+    return sweep_usage("--arch and --ablate-topology are mutually exclusive");
+  }
+
+  // One CSV row: its key columns (model, or the shape name under --arch;
+  // gpu, nvs, oversub, gpus, strategy, batch), the tokens of one
+  // iteration and the optimum. Point j of a slice's hardware grid is
+  // (gpu, nvs, oversub), oversub innermost, as hardware_grid builds it.
+  struct Row {
+    std::vector<std::string> key;
+    double tokens = 0;
+    double gpus = 0;
+    core::EvalResult r;
+  };
+  const std::size_t n_nvs = spec.nvs.size();
+  const std::size_t n_os = spec.oversub.size();
+  const std::size_t n_slices =
+      spec.gpus.size() * spec.strategies.size() * spec.batches.size();
+  const auto label = [](const Row& row) {
+    const auto& k = row.key;
+    return k[0] + " " + k[1] + " nvs" + k[2] + " os" + k[3] + " n" + k[4] +
+           " " + k[5] + " b" + k[6];
+  };
+  // Without --arch, rows land in spec nesting order (model, gpu, nvs,
+  // oversub, gpus, strategy, batch); with it, slice by slice, shape-major.
+  std::vector<Row> rows(arch ? 0
+                             : spec.models.size() * spec.generations.size() *
+                                   n_nvs * n_os * n_slices);
+  search::SweepStats totals;
+  double sweep_seconds = 0.0;
+  std::size_t mismatches = 0;
+  std::size_t ablation_mismatches = 0;
+  std::size_t ablation_checked = 0;
+
+  for (std::size_t mi = 0; mi < spec.models.size(); ++mi) {
+    const model::TransformerConfig mdl =
+        *model::preset_by_name(spec.models[mi]);
+    const std::vector<model::TransformerConfig> shapes =
+        arch ? model::shape_family(mdl, file_cfg.codesign.value_or(
+                                            model::ShapeFamilyOptions{}))
+             : std::vector<model::TransformerConfig>{mdl};
+    if (shapes.empty()) {
+      return sweep_usage(
+          ("[codesign] enumerates zero shapes around " + spec.models[mi])
+              .c_str());
+    }
+    for (std::size_t slice = 0; slice < n_slices; ++slice) {
+      const std::int64_t n =
+          spec.gpus[slice / (spec.strategies.size() * spec.batches.size())];
+      const parallel::TpStrategy strategy =
+          spec.strategies[slice / spec.batches.size() %
+                          spec.strategies.size()];
+      const std::int64_t batch = spec.batches[slice % spec.batches.size()];
+      const auto grid = search::hardware_grid(
+          spec.generations, spec.nvs, spec.oversub, n, spec.leaf);
+      search::SweepOptions opts;
+      opts.search.strategy = strategy;
+      opts.search.global_batch = batch;
+      opts.search.n_gpus = n;
+      opts.threads = threads;
+      opts.warm_start = warm_start;
+
+      // --arch runs the co-design engine's full exact per-shape matrix
+      // (every row must be a true find_optimal result, so shape pruning
+      // stays off); otherwise the model's grid is one run_sweep.
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<std::vector<core::EvalResult>> per_shape;
+      search::SweepStats stats;
+      if (arch) {
+        search::CodesignOptions copts;
+        copts.sweep = opts;
+        copts.prune_shapes = false;
+        search::CodesignResult cr = search::run_codesign(shapes, grid, copts);
+        per_shape = std::move(cr.per_shape);
+        stats = cr.stats;
+      } else {
+        search::SweepResult sr = search::run_sweep(mdl, grid, opts);
+        per_shape = {std::move(sr.best)};
+        stats = sr.stats;
+      }
+      sweep_seconds += std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+      totals.signature_compiles += stats.signature_compiles;
+      totals.signature_cache_hits += stats.signature_cache_hits;
+      totals.signature_reuses += stats.signature_reuses;
+      totals.batch_calls += stats.batch_calls;
+      totals.batch_placements += stats.batch_placements;
+      totals.warm_seeded += stats.warm_seeded;
+      totals.warm_seed_feasible += stats.warm_seed_feasible;
+      totals.profile.enumerate_s += stats.profile.enumerate_s;
+      totals.profile.compile_s += stats.profile.compile_s;
+      totals.profile.time_s += stats.profile.time_s;
+      totals.profile.wall_s += stats.profile.wall_s;
+
+      for (std::size_t s = 0; s < shapes.size(); ++s) {
+        for (std::size_t j = 0; j < grid.size(); ++j) {
+          // Shortest round-trip text: 4 -> "4", 1.0000001 -> "1.0000001".
+          char oversub[32];
+          const auto os_end =
+              std::to_chars(oversub, oversub + sizeof oversub,
+                            spec.oversub[j % n_os])
+                  .ptr;
+          Row row{{arch ? shapes[s].name : spec.models[mi],
+                   std::string(hw::generation_name(
+                       spec.generations[j / (n_nvs * n_os)])),
+                   std::to_string(spec.nvs[j / n_os % n_nvs]),
+                   std::string(oversub, os_end),
+                   std::to_string(n),
+                   std::string(parallel::strategy_name(strategy)),
+                   std::to_string(batch)},
+                  static_cast<double>(batch) *
+                      static_cast<double>(shapes[s].seq_len),
+                  static_cast<double>(n),
+                  std::move(per_shape[s][j])};
+          if (verify_legacy) {
+            check_find_optimal(shapes[s], grid[j], opts, &row.r, label(row),
+                               mismatches);
+          }
+          if (arch) {
+            rows.push_back(std::move(row));
+          } else {
+            rows[(mi * grid.size() + j) * n_slices + slice] = std::move(row);
+          }
+        }
+      }
+
+      if (ablate_topology) {
+        // Swap every two-level point's fabric for the degenerate
+        // three-level preset (leaf pod = NVS domain, full bisection):
+        // walking one extra level with fan-in 1 must not change a single
+        // bit of the optimum.
+        std::vector<hw::SystemConfig> degenerate = grid;
+        for (hw::SystemConfig& sys : degenerate) {
+          if (!sys.fabric.levels.empty()) continue;  // already 3-level
+          sys.fabric = hw::leaf_spine_topology(sys.net, sys.nvs_domain,
+                                               sys.nvs_domain, sys.n_gpus, 1.0);
+        }
+        const search::SweepResult check =
+            search::run_sweep(mdl, degenerate, opts);
+        for (std::size_t j = 0; j < grid.size(); ++j) {
+          if (!grid[j].fabric.levels.empty()) continue;
+          ++ablation_checked;
+          const Row& row = rows[(mi * grid.size() + j) * n_slices + slice];
+          if (!search::same_optimum(row.r, check.best[j])) {
+            ++ablation_mismatches;
+            std::cerr << "ABLATION MISMATCH at " << label(row) << "\n";
+          }
+        }
+      }
+    }
+  }
+
+  util::CsvWriter csv(output);
+  csv.write_header({"model", "gpu", "nvs", "oversub", "gpus", "strategy",
+                    "batch", "feasible", "config", "iter_s",
+                    "tokens_per_s_per_gpu", "hbm_gb"});
+  std::size_t feasible = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    const core::EvalResult& r = row.r;
+    if (r.feasible) ++feasible;
+    const double tps =
+        r.feasible ? row.tokens / r.iteration() / row.gpus : 0.0;
+    std::vector<std::string> cells = row.key;
+    cells.insert(
+        cells.end(),
+        {r.feasible ? "1" : "0", r.feasible ? r.cfg.describe() : r.reason,
+         util::format_fixed(r.feasible ? r.iteration() : 0.0, 6),
+         util::format_fixed(tps, 1),
+         util::format_fixed(r.feasible ? r.mem.total().value() / 1e9 : 0.0,
+                            2)});
+    csv.write_row(cells);
+    std::cout << "[" << (i + 1) << "] " << label(row) << ": "
+              << (r.feasible ? util::format_time(r.iteration()) : "infeasible")
+              << "\n";
+  }
+
+  std::cout << rows.size() << " sweep points (" << feasible
+            << " feasible) written to " << output << "\n";
+  std::printf("%.3fs  %.1f points/s  compiles=%zu  compile-cache hit "
+              "rate=%.1f%%  batch-occupancy=%.1f",
+              sweep_seconds,
+              sweep_seconds > 0.0
+                  ? static_cast<double>(rows.size()) / sweep_seconds
+                  : 0.0,
+              totals.signature_compiles, 100.0 * totals.compile_hit_rate(),
+              totals.batch_occupancy());
+  if (warm_start) {
+    std::printf("  warm-seeds=%zu/%zu", totals.warm_seed_feasible,
+                totals.warm_seeded);
+  }
+  std::printf("\n");
+  if (profile_stages) {
+    std::printf(
+        "stages: enumerate=%.3fs  compile=%.3fs  time=%.3fs  wall=%.3fs  "
+        "overlap=%.2fx\n",
+        totals.profile.enumerate_s, totals.profile.compile_s,
+        totals.profile.time_s, totals.profile.wall_s,
+        totals.profile.overlap());
+  }
+  if (verify_legacy) {
+    if (mismatches != 0) {
+      std::cerr << mismatches << " grid points differ from per-point "
+                << "find_optimal\n";
+      return 1;
+    }
+    std::cout << "verify-legacy: all " << rows.size()
+              << " optima bitwise identical to per-point find_optimal\n";
+  }
+  if (ablate_topology) {
+    if (ablation_mismatches != 0) {
+      std::cerr << ablation_mismatches << " grid points differ between the "
+                << "two-level fabric and the degenerate three-level preset\n";
+      return 1;
+    }
+    std::cout << "ablate-topology: " << ablation_checked
+              << " two-level optima bitwise identical under the degenerate "
+              << "three-level fabric\n";
   }
   return 0;
 }
@@ -681,7 +935,7 @@ int run_serve_plan_cmd(const util::ArgParser& args) {
     sys = hw::make_system(hw::GpuGeneration::H200, 8, 8);
   }
   if (const auto name = args.get("gpu")) {
-    const auto gen = gen_by_name(*name);
+    const auto gen = hw::generation_from_name(*name);
     if (!gen) return serve_usage("unknown --gpu (a100|h200|b200)");
     const auto fresh = hw::make_system(*gen, sys.nvs_domain, sys.n_gpus);
     sys.gpu = fresh.gpu;
@@ -698,29 +952,16 @@ int run_serve_plan_cmd(const util::ArgParser& args) {
   if (args.has("output")) {
     spec.output_len = args.get_int_or("output", spec.output_len);
   }
-  const auto int_list_flag = [&](const char* flag,
-                                 std::vector<std::int64_t>& axis) -> bool {
-    const auto v = args.get(flag);
-    if (!v) return true;
-    axis.clear();
-    for (const auto& item : util::split_list(*v)) {
+  for (const auto& [flag, axis] : {std::pair{"tp", &spec.tp},
+                                  std::pair{"pp", &spec.pp},
+                                  std::pair{"batch", &spec.batch}}) {
+    if (const auto v = args.get(flag)) {
       try {
-        axis.push_back(std::stoll(item));
-      } catch (const std::exception&) {
-        return false;
+        *axis = io::positive_int_list(std::string("--") + flag, *v);
+      } catch (const std::exception& e) {
+        return serve_usage(e.what());
       }
-      if (axis.back() < 1) return false;
     }
-    return !axis.empty();
-  };
-  if (!int_list_flag("tp", spec.tp)) {
-    return serve_usage("--tp needs positive integers");
-  }
-  if (!int_list_flag("pp", spec.pp)) {
-    return serve_usage("--pp needs positive integers");
-  }
-  if (!int_list_flag("batch", spec.batch)) {
-    return serve_usage("--batch needs positive integers");
   }
   if (args.has("kv-cap")) {
     spec.kv_cap_fraction = args.get_double_or("kv-cap", spec.kv_cap_fraction);
@@ -887,7 +1128,7 @@ int run_search_cmd(const util::ArgParser& args) {
     if (args.has("nvs")) sys.nvs_domain = args.get_int_or("nvs", sys.nvs_domain);
     (void)args.get("gpu");  // config file wins; mark as consumed
   } else {
-    const auto gen = gen_by_name(args.get_or("gpu", "b200"));
+    const auto gen = hw::generation_from_name(args.get_or("gpu", "b200"));
     if (!gen) return usage("unknown --gpu (a100|h200|b200)");
     sys = hw::make_system(*gen, args.get_int_or("nvs", 8),
                           args.get_int_or("gpus", 1024));
@@ -896,12 +1137,11 @@ int run_search_cmd(const util::ArgParser& args) {
   // --- search options ---
   const std::string strat = args.get_or("strategy", "1d");
   std::vector<parallel::TpStrategy> strategies;
-  if (strat == "1d") strategies = {parallel::TpStrategy::TP1D};
-  else if (strat == "2d") strategies = {parallel::TpStrategy::TP2D};
-  else if (strat == "summa") strategies = {parallel::TpStrategy::Summa2D};
-  else if (strat == "all") {
+  if (strat == "all") {
     strategies = {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
                   parallel::TpStrategy::Summa2D};
+  } else if (const auto one = parallel::strategy_from_name(strat)) {
+    strategies = {*one};
   } else {
     return usage("unknown --strategy (1d|2d|summa|all)");
   }
@@ -1048,6 +1288,7 @@ int main(int argc, char** argv) {
     const util::ArgParser args(argc, argv);
     const std::string cmd =
         args.positional().empty() ? "" : args.positional().front();
+    if (cmd == "sweep") return run_sweep_cmd(args);
     if (cmd == "lint") return run_lint(args);
     if (cmd == "codesign") return run_codesign_cmd(args);
     if (cmd == "serve-plan") return run_serve_plan_cmd(args);
