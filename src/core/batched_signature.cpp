@@ -195,18 +195,18 @@ std::vector<SystemTiming> bind_systems_batch(
   return out;
 }
 
-void time_placements_batch(
+bool time_placements_batch(
     const CostSignature& sig, const BatchedSignature& bat,
     const SystemTiming& base, const hw::SystemConfig& sys,
     const parallel::ParallelConfig& cfg,
     const std::vector<std::array<std::int64_t, 4>>& placements,
     const EvalOptions& opts, std::vector<PlacementTiming>& out,
-    BatchScratch* scratch, const comm::FabricPricer* pricer) {
+    BatchScratch* scratch, const comm::FabricPricer* pricer,
+    double incumbent) {
   (void)sys;
   const std::size_t np = placements.size();
   out.clear();
-  out.resize(np);
-  if (np == 0) return;
+  if (np == 0) return true;
 
   BatchScratch local;
   BatchScratch& s = scratch ? *scratch : local;
@@ -268,11 +268,10 @@ void time_placements_batch(
   // comm_price_row — repeated per-op requests of the same volume share a
   // row), one column per distinct nvs of its group. Each cell is the exact
   // collective_time call the scalar path makes for a placement mapping to
-  // that column — priced by one contiguous pass over the pricing rows on
-  // each comm-block miss (price_columns below), so columns only ever read
-  // through block hits are never priced. collective_time is pure, so
-  // neither the sharing nor the changed pricing order can change any
-  // cell's bits.
+  // that column — priced on first read (the floor below, or one pass per
+  // comm-block miss), so without a screen columns only ever read through
+  // block hits are never priced. collective_time is pure, so neither the
+  // sharing nor the pricing order can change any cell's bits.
   const std::size_t nu = bat.price_rep.size();
   s.row_offset.resize(nu);
   std::size_t cells = 0;
@@ -282,48 +281,173 @@ void time_placements_batch(
   }
   s.comm_table.resize(cells);
   s.cell_epoch.resize(cells, 0);
-  // One strided pass per block miss: price placement p's column of every
-  // pricing row (epoch stamps skip cells an earlier miss already priced).
-  const auto price_columns = [&](std::size_t p) {
-    for (std::size_t u = 0; u < nu; ++u) {
-      const std::uint32_t rep = bat.price_rep[u];
+  // Cell (u, col), priced unless an earlier read this call already did.
+  const auto cell = [&](std::size_t u, std::size_t col) -> Seconds {
+    const std::uint32_t rep = bat.price_rep[u];
+    const std::size_t idx = s.row_offset[u] + col;
+    if (s.cell_epoch[idx] != s.epoch) {
       const std::size_t g = bat.comm_group[rep];
-      const std::size_t col = s.nvs_column[g][p];
-      const std::size_t idx = s.row_offset[u] + col;
-      if (s.cell_epoch[idx] != s.epoch) {
-        s.comm_table[idx] = pr.price(bat.comm_kind[rep],
-                                     bat.comm_panel_bytes[rep],
-                                     *s.placed[g][col]);
-        s.cell_epoch[idx] = s.epoch;
-      }
+      s.comm_table[idx] =
+          pr.price(bat.comm_kind[rep], bat.comm_panel_bytes[rep],
+                   *s.placed[g][col]);
+      s.cell_epoch[idx] = s.epoch;
     }
-  };
-  // Branch-free table read for the op walk (all cells for p are priced).
-  const auto comm_cell = [&](std::uint32_t r, std::size_t p) -> Seconds {
-    return s.comm_table[s.row_offset[bat.comm_price_row[r]] +
-                        s.nvs_column[bat.comm_group[r]][p]];
+    return s.comm_table[idx];
   };
 
   const double Ld = static_cast<double>(sig.layers_per_stage);
   const double md = static_cast<double>(sig.microbatches);
 
-  // Placement-dependent but few-valued terms, memoized lazily in placement
-  // order (first encounter prices; later ones reuse the identical bits).
-  // The DP memo lives in the scratch so a warm scan prices allocation-free.
+  // The op walk: per-op exposed-communication sums, stage times and the
+  // tp/bubble terms, reading request r's collective time through
+  // `comm_of(r)` — exactly the sums the scalar time_placement computes,
+  // read from the table instead of priced mid-walk.
+  const std::size_t n_ops = bat.op_count();
+  const auto walk = [&](const auto& comm_of) {
+    Seconds fwd_comm, bwd_comm;
+    std::size_t summa = 0;
+    for (std::size_t i = 0; i < n_ops; ++i) {
+      const std::int64_t panels = bat.panels[i];
+      std::array<Seconds, 2> panel{};
+      if (panels > 1) panel = base.summa_panel_time[summa++];
+      Seconds f_comm, b_comm;
+      if (bat.fwd_comm_count[i] > 0) {
+        Seconds t_panel_comm;
+        const std::uint32_t begin = bat.fwd_comm_begin[i];
+        const std::uint32_t end = begin + bat.fwd_comm_count[i];
+        for (std::uint32_t r = begin; r < end; ++r) t_panel_comm += comm_of(r);
+        if (panels == 1) {
+          f_comm = t_panel_comm;
+        } else {
+          f_comm = t_panel_comm +
+                   std::max(Seconds(0), t_panel_comm - panel[0]) *
+                       static_cast<double>(panels - 1);
+        }
+      }
+      if (bat.bwd_comm_count[i] > 0) {
+        Seconds t_panel_comm;
+        const std::uint32_t begin = bat.bwd_comm_begin[i];
+        const std::uint32_t end = begin + bat.bwd_comm_count[i];
+        for (std::uint32_t r = begin; r < end; ++r) t_panel_comm += comm_of(r);
+        if (panels == 1) {
+          b_comm = t_panel_comm;
+        } else {
+          b_comm = t_panel_comm +
+                   std::max(Seconds(0), t_panel_comm - panel[1]) *
+                       static_cast<double>(panels - 1);
+        }
+      }
+      if (panels <= 1 && opts.tp_overlap > 0) {
+        f_comm *= 1.0 - opts.tp_overlap;
+        b_comm *= 1.0 - opts.tp_overlap;
+      }
+      fwd_comm += f_comm;
+      bwd_comm += b_comm;
+      if (opts.activation_recompute) bwd_comm += f_comm;
+    }
+
+    const Seconds t_fwd_micro = (base.fwd_cm + fwd_comm) * Ld;
+    const Seconds t_bwd_micro = (base.bwd_cm + bwd_comm) * Ld;
+    BatchScratch::CommBlock blk;
+    blk.t_fwd_stage = t_fwd_micro;
+    blk.t_bwd_stage = t_bwd_micro;
+    if (!sig.head.empty()) {
+      blk.t_fwd_stage += base.head_fwd_cm;
+      blk.t_bwd_stage += base.head_bwd_cm;
+    }
+    blk.tp_comm = ((fwd_comm + bwd_comm) * (md * Ld)).value();
+    blk.bubble = pipeline::bubble_time(cfg.np, blk.t_fwd_stage,
+                                       blk.t_bwd_stage, cfg.interleave)
+                     .value();
+    return blk;
+  };
+
+  // Placement-dependent but few-valued terms, memoized lazily (first use
+  // prices; later ones reuse the identical bits). The DP memo lives in the
+  // scratch so a warm scan prices allocation-free.
   std::array<Seconds, 2> p2p_value{};
   std::array<bool, 2> p2p_priced{false, false};
+  // Placement p's P2P term: one of two hop variants (nvsp fast/slow).
+  const auto p2p = [&](std::size_t p) -> Seconds {
+    const std::size_t hop_idx = placements[p][2] > 1 ? 1 : 0;
+    if (!p2p_priced[hop_idx]) {
+      if (cfg.np > 1) {
+        p2p_value[hop_idx] = pipeline::p2p_time(
+            pr,
+            pr.place_ref(comm::GroupPlacement{2, hop_idx != 0 ? 2 : 1}),
+            cfg.np, sig.microbatches, sig.pp_boundary_bytes, cfg.interleave);
+      }
+      p2p_priced[hop_idx] = true;
+    }
+    return p2p_value[hop_idx];
+  };
   s.dp_keys.clear();
   s.dp_terms.clear();
+  // (t_reduce_scatter, t_all_gather) of placement p's DP group.
+  const auto dp_terms = [&](std::size_t p) -> const std::array<Seconds, 2>& {
+    std::int64_t dp_nvs = placements[p][3];
+    if (sig.dp_group_includes_tp2) dp_nvs *= placements[p][1];
+    std::size_t k = 0;
+    for (; k < s.dp_keys.size(); ++k) {
+      if (s.dp_keys[k] == dp_nvs) break;
+    }
+    if (k == s.dp_keys.size()) {
+      const comm::FabricPricer::Placed& g =
+          pr.place_ref(comm::GroupPlacement{sig.dp_size, dp_nvs});
+      s.dp_keys.push_back(dp_nvs);
+      s.dp_terms.push_back(
+          {pr.price(ops::Collective::ReduceScatter, sig.dp_grad_bytes, g),
+           pr.price(ops::Collective::AllGather, sig.dp_grad_bytes, g)});
+    }
+    return s.dp_terms[k];
+  };
+  const bool zero3 = cfg.zero == parallel::ZeroStage::kWeights;
+  const auto zero3_dp = [&](const std::array<Seconds, 2>& t) {
+    return ((t[1] * 2.0 + t[0]) * (0.5 * md)).value();
+  };
 
-  // Comm-block memo: the op walk below reads the comm table only through
-  // the columns of the groups actually present in the pool, so placements
+  if (incumbent < std::numeric_limits<double>::infinity()) {
+    // Comm-floor screen (see the header): every term below is <= the same
+    // term of every placement, and total() sums them in the same order.
+    s.row_min.resize(nu);
+    for (std::size_t u = 0; u < nu; ++u) {
+      const std::size_t cols =
+          s.distinct_nvs[bat.comm_group[bat.price_rep[u]]].size();
+      Seconds m = cell(u, 0);
+      for (std::size_t c = 1; c < cols; ++c) m = std::min(m, cell(u, c));
+      s.row_min[u] = m;
+    }
+    const BatchScratch::CommBlock fb = walk(
+        [&](std::uint32_t r) { return s.row_min[bat.comm_price_row[r]]; });
+    TimeBreakdown floor;
+    floor.compute = base.time_compute;
+    floor.memory = base.time_memory;
+    floor.tp_comm = fb.tp_comm;
+    // The cheapest P2P and ZeRO-3 DP terms of any placement in the batch;
+    // non-ZeRO DP stays 0 (see the header).
+    const bool dp_floored = sig.dp_size > 1 && zero3;
+    floor.pp_comm = p2p(0).value();
+    if (dp_floored) floor.dp_comm = zero3_dp(dp_terms(0));
+    for (std::size_t p = 1; p < np; ++p) {
+      floor.pp_comm = std::min(floor.pp_comm, p2p(p).value());
+      if (dp_floored) {
+        floor.dp_comm = std::min(floor.dp_comm, zero3_dp(dp_terms(p)));
+      }
+    }
+    floor.bubble = fb.bubble;
+    floor.optimizer = base.optimizer;
+    if (floor.total() > incumbent) return false;
+  }
+
+  // Comm-block memo: the op walk reads the comm table only through the
+  // columns of the groups actually present in the pool, so placements
   // agreeing on those columns produce bit-identical stage/tp/bubble terms.
   // Key on the used groups ONLY — placements differing in an unused group
   // (e.g. nvsd under a pure-TP signature) share the block.
   s.block_keys.clear();
   s.blocks.clear();
 
-  const std::size_t n_ops = bat.op_count();
+  out.resize(np);
   for (std::size_t p = 0; p < np; ++p) {
     PlacementTiming& o = out[p];
 
@@ -337,123 +461,33 @@ void time_placements_batch(
     }
     if (bi == s.block_keys.size()) {
       // First placement on these columns: price its column of every pricing
-      // row in one pass, then run the op walk — exactly the sums the scalar
-      // time_placement would compute for this placement, read from the
-      // table instead of priced mid-walk.
-      price_columns(p);
-      Seconds fwd_comm, bwd_comm;
-      std::size_t summa = 0;
-      for (std::size_t i = 0; i < n_ops; ++i) {
-        const std::int64_t panels = bat.panels[i];
-        std::array<Seconds, 2> panel{};
-        if (panels > 1) panel = base.summa_panel_time[summa++];
-        Seconds f_comm, b_comm;
-        if (bat.fwd_comm_count[i] > 0) {
-          Seconds t_panel_comm;
-          const std::uint32_t begin = bat.fwd_comm_begin[i];
-          const std::uint32_t end = begin + bat.fwd_comm_count[i];
-          for (std::uint32_t r = begin; r < end; ++r) {
-            t_panel_comm += comm_cell(r, p);
-          }
-          if (panels == 1) {
-            f_comm = t_panel_comm;
-          } else {
-            f_comm = t_panel_comm +
-                     std::max(Seconds(0), t_panel_comm - panel[0]) *
-                         static_cast<double>(panels - 1);
-          }
-        }
-        if (bat.bwd_comm_count[i] > 0) {
-          Seconds t_panel_comm;
-          const std::uint32_t begin = bat.bwd_comm_begin[i];
-          const std::uint32_t end = begin + bat.bwd_comm_count[i];
-          for (std::uint32_t r = begin; r < end; ++r) {
-            t_panel_comm += comm_cell(r, p);
-          }
-          if (panels == 1) {
-            b_comm = t_panel_comm;
-          } else {
-            b_comm = t_panel_comm +
-                     std::max(Seconds(0), t_panel_comm - panel[1]) *
-                         static_cast<double>(panels - 1);
-          }
-        }
-        if (panels <= 1 && opts.tp_overlap > 0) {
-          f_comm *= 1.0 - opts.tp_overlap;
-          b_comm *= 1.0 - opts.tp_overlap;
-        }
-        fwd_comm += f_comm;
-        bwd_comm += b_comm;
-        if (opts.activation_recompute) bwd_comm += f_comm;
+      // row in one strided pass, then run the op walk on them.
+      for (std::size_t u = 0; u < nu; ++u) {
+        cell(u, s.nvs_column[bat.comm_group[bat.price_rep[u]]][p]);
       }
-
-      const Seconds t_fwd_micro = (base.fwd_cm + fwd_comm) * Ld;
-      const Seconds t_bwd_micro = (base.bwd_cm + bwd_comm) * Ld;
-      Seconds t_fwd_stage = t_fwd_micro;
-      Seconds t_bwd_stage = t_bwd_micro;
-      if (!sig.head.empty()) {
-        t_fwd_stage += base.head_fwd_cm;
-        t_bwd_stage += base.head_bwd_cm;
-      }
-      BatchScratch::CommBlock blk;
-      blk.t_fwd_stage = t_fwd_stage;
-      blk.t_bwd_stage = t_bwd_stage;
-      blk.tp_comm = ((fwd_comm + bwd_comm) * (md * Ld)).value();
-      blk.bubble = pipeline::bubble_time(cfg.np, t_fwd_stage, t_bwd_stage,
-                                         cfg.interleave)
-                       .value();
       s.block_keys.push_back(key);
-      s.blocks.push_back(blk);
+      s.blocks.push_back(walk([&](std::uint32_t r) {
+        return s.comm_table[s.row_offset[bat.comm_price_row[r]] +
+                            s.nvs_column[bat.comm_group[r]][p]];
+      }));
     }
     const BatchScratch::CommBlock& blk = s.blocks[bi];
-    const Seconds t_fwd_stage = blk.t_fwd_stage;
-    const Seconds t_bwd_stage = blk.t_bwd_stage;
-    o.t_fwd_stage = t_fwd_stage;
-    o.t_bwd_stage = t_bwd_stage;
+    o.t_fwd_stage = blk.t_fwd_stage;
+    o.t_bwd_stage = blk.t_bwd_stage;
 
     o.time.compute = base.time_compute;
     o.time.memory = base.time_memory;
     o.time.tp_comm = blk.tp_comm;
     o.time.bubble = blk.bubble;
+    o.time.pp_comm = p2p(p).value();
 
-    const std::size_t hop_idx = placements[p][2] > 1 ? 1 : 0;
-    if (!p2p_priced[hop_idx]) {
-      if (cfg.np > 1) {
-        p2p_value[hop_idx] = pipeline::p2p_time(
-            pr,
-            pr.place_ref(comm::GroupPlacement{2, hop_idx != 0 ? 2 : 1}),
-            cfg.np, sig.microbatches, sig.pp_boundary_bytes, cfg.interleave);
-      } else {
-        p2p_value[hop_idx] = Seconds(0);
-      }
-      p2p_priced[hop_idx] = true;
-    }
-    o.time.pp_comm = p2p_value[hop_idx].value();
-
-    std::int64_t dp_nvs = placements[p][3];
-    if (sig.dp_group_includes_tp2) dp_nvs *= placements[p][1];
     if (sig.dp_size > 1) {
-      std::size_t k = 0;
-      for (; k < s.dp_keys.size(); ++k) {
-        if (s.dp_keys[k] == dp_nvs) break;
-      }
-      if (k == s.dp_keys.size()) {
-        const comm::FabricPricer::Placed& g =
-            pr.place_ref(comm::GroupPlacement{sig.dp_size, dp_nvs});
-        const Seconds t_rs =
-            pr.price(ops::Collective::ReduceScatter, sig.dp_grad_bytes, g);
-        const Seconds t_ag =
-            pr.price(ops::Collective::AllGather, sig.dp_grad_bytes, g);
-        s.dp_keys.push_back(dp_nvs);
-        s.dp_terms.push_back({t_rs, t_ag});
-      }
-      const Seconds t_rs = s.dp_terms[k][0];
-      const Seconds t_ag = s.dp_terms[k][1];
-      if (cfg.zero == parallel::ZeroStage::kWeights) {
-        o.time.dp_comm = ((t_ag * 2.0 + t_rs) * (0.5 * md)).value();
+      const std::array<Seconds, 2>& t = dp_terms(p);
+      if (zero3) {
+        o.time.dp_comm = zero3_dp(t);
       } else {
-        o.time.dp_comm = (std::max(Seconds(0), t_rs - t_bwd_stage) +
-                          std::max(Seconds(0), t_ag - t_fwd_stage))
+        o.time.dp_comm = (std::max(Seconds(0), t[0] - blk.t_bwd_stage) +
+                          std::max(Seconds(0), t[1] - blk.t_fwd_stage))
                              .value();
       }
     }
@@ -472,6 +506,7 @@ void time_placements_batch(
     }
   }
 #endif
+  return true;
 }
 
 std::vector<std::vector<PlacementTiming>> time_placements_systems_batch(

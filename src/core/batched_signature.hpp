@@ -19,7 +19,9 @@
 //     arrays, assembling per-op exposed-communication sums, stage times and
 //     the pipeline/DP terms from table lookups,
 //   * memoizes the placement-dependent P2P (two variants: nvsp fast/slow)
-//     and DP-collective terms (one per distinct DP-group nvs).
+//     and DP-collective terms (one per distinct DP-group nvs),
+//   * given an incumbent, first screens the whole batch with a comm floor
+//     (see time_placements_batch) and times nothing when it is above.
 //
 // BITWISE CONTRACT: every arithmetic statement evaluates the same pure
 // functions on the same operands in the same order as the scalar
@@ -35,6 +37,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "comm/collective_algorithm.hpp"
@@ -108,9 +111,10 @@ struct BatchScratch {
   std::array<std::vector<const comm::FabricPricer::Placed*>, 4> placed;
   /// comm-table row offsets (one per pricing row, see comm_price_row) and
   /// the priced table itself. A cell is valid when its epoch stamp equals
-  /// `epoch`; stale cells are re-priced on first use. Cells are priced one
-  /// pricing-row pass per comm-block miss (the block memo below), so
-  /// columns no missed placement lands on are never priced.
+  /// `epoch`; stale cells are re-priced on first use. Without a screen,
+  /// cells are priced one pricing-row pass per comm-block miss (the block
+  /// memo below), so columns no missed placement lands on are never
+  /// priced; the comm-floor screen prices every cell up front instead.
   std::vector<std::uint32_t> row_offset;
   std::vector<Seconds> comm_table;
   std::vector<std::uint64_t> cell_epoch;
@@ -124,6 +128,9 @@ struct BatchScratch {
   };
   std::vector<std::uint64_t> block_keys;
   std::vector<CommBlock> blocks;
+  /// Per-pricing-row minimum over the row's columns: the comm floor's op
+  /// walk reads these instead of a placement's cells.
+  std::vector<Seconds> row_min;
   /// DP-term memo (t_reduce_scatter, t_all_gather per distinct DP-group
   /// nvs), kept here so a warm scan prices DP terms allocation-free.
   std::vector<std::int64_t> dp_keys;
@@ -160,14 +167,31 @@ std::vector<SystemTiming> bind_systems_batch(
 /// fabric these placements should be priced against (the generation-major
 /// chain keeps one pricer per grid point, so the per-candidate SystemTiming
 /// needs no fabric restamp). Null builds a transient pricer on base.fabric.
-void time_placements_batch(
+///
+/// Comm-floor screen: with a finite `incumbent` (an achieved iteration
+/// time), the kernel first prices every comm-table cell, runs the op walk
+/// once on each pricing row's minimum over its columns and assembles a
+/// floor in TimeBreakdown::total() order — compute, memory and optimizer
+/// exact, TP comm and bubble from that min-walk, the cheapest P2P hop
+/// variant in the batch, the cheapest ZeRO-3 DP term over the batch's DP
+/// columns, and 0 for non-ZeRO DP (its exposed max(0, t - stage) only
+/// falls as the stage grows). Every step is +, x by a nonnegative constant
+/// or max, and IEEE round-to-nearest is monotone, so the floor is <= every
+/// placement's time.total() bit for bit (opts must satisfy
+/// EvalOptions::validate(), which keeps 1 - tp_overlap >= 0). When
+/// floor > incumbent — strict, so a candidate that could tie is never
+/// dropped — no placement is timed, `out` is left empty and the call
+/// returns false ("screened"); otherwise it returns true. The cells the
+/// floor priced are reused by the scan, so each is priced at most once.
+bool time_placements_batch(
     const CostSignature& sig, const BatchedSignature& bat,
     const SystemTiming& base, const hw::SystemConfig& sys,
     const parallel::ParallelConfig& cfg,
     const std::vector<std::array<std::int64_t, 4>>& placements,
     const EvalOptions& opts, std::vector<PlacementTiming>& out,
     BatchScratch* scratch = nullptr,
-    const comm::FabricPricer* pricer = nullptr);
+    const comm::FabricPricer* pricer = nullptr,
+    double incumbent = std::numeric_limits<double>::infinity());
 
 /// N placements x M systems in one call: out[k] holds placements.size()
 /// timings against systems[k] (bound via bind_systems_batch). Convenience

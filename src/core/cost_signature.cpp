@@ -232,6 +232,7 @@ PlacementTiming time_placement(const CostSignature& sig,
                                const hw::SystemConfig& sys,
                                const parallel::ParallelConfig& cfg,
                                const EvalOptions& opts) {
+  (void)sys;
   PlacementTiming out;
 
   const double Ld = static_cast<double>(sig.layers_per_stage);

@@ -133,6 +133,9 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
   // stage clock; the stage profile counts the heavyweight stage bodies.
   std::vector<char>& done = scratch.done;
   done.assign(n, 0);
+  // The point-local incumbent: the best achieved time so far. The
+  // placement scan screens each candidate's comm floor against it.
+  double incumbent = std::numeric_limits<double>::infinity();
   const auto evaluate = [&](std::size_t i) -> double {
     parallel::ParallelConfig cfg = configs[i];
     ChainEntry& e = chain.entries[i];
@@ -182,12 +185,21 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       // decided validity and HBM fit for this candidate, so the scan's
       // placement-invariant shortcut (which reads base.fabric via
       // time_signature) is provably dead — skipping it is what lets the
-      // bind above drop the fabric capture.
-      r = scan_placements_batch(sh.mdl, sys, cfg, b, *e.sig, *e.bat, e.base,
-                                *placements, eval, evals,
-                                /*stop_after_infeasible=*/opts.search.prune,
-                                scratch.batch, timings, &chain.pricer,
-                                /*prevalidated=*/true);
+      // bind above drop the fabric capture. With prune, a candidate whose
+      // comm floor exceeds the incumbent is screened without timing a
+      // placement (floor <= time, so it can neither be nor tie the
+      // optimum) and counts as bound-pruned.
+      auto scanned = scan_placements_batch(
+          sh.mdl, sys, cfg, b, *e.sig, *e.bat, e.base, *placements, eval,
+          evals, /*stop_after_infeasible=*/opts.search.prune, scratch.batch,
+          timings, &chain.pricer, /*prevalidated=*/true,
+          opts.search.prune ? incumbent
+                            : std::numeric_limits<double>::infinity());
+      if (scanned) {
+        r = std::move(*scanned);
+      } else {
+        ++out.bound_pruned;  // r stays infeasible; nothing was timed
+      }
       if (!timings.empty()) {
         ++out.batch_calls;
         out.batch_placements += timings.size();
@@ -205,8 +217,6 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
     feasible.emplace_back(i, std::move(r));
     return t;
   };
-
-  double incumbent = std::numeric_limits<double>::infinity();
 
   // Warm start: re-time the chain parent's optimal candidate first. Its
   // time at THIS point is an achieved iteration time, so using it as the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "core/lower_bounds.hpp"
 #include "parallel/layer_builder.hpp"
@@ -48,7 +49,7 @@ void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain) {
   cfg.nvsd = largest_divisor_leq(cfg.nd, budget);
 }
 
-core::EvalResult scan_placements_batch(
+std::optional<core::EvalResult> scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
     const core::CostSignature& sig, const core::BatchedSignature& bat,
@@ -57,7 +58,7 @@ core::EvalResult scan_placements_batch(
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible, core::BatchScratch& scratch,
     std::vector<core::PlacementTiming>& timings,
-    const comm::FabricPricer* pricer, bool prevalidated) {
+    const comm::FabricPricer* pricer, bool prevalidated, double incumbent) {
   timings.clear();
   if (placements.empty()) {
     core::EvalResult best;
@@ -96,8 +97,10 @@ core::EvalResult scan_placements_batch(
     }
   }
 
-  core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
-                              timings, &scratch, pricer);
+  if (!core::time_placements_batch(sig, bat, base, sys, cfg, placements, eval,
+                                   timings, &scratch, pricer, incumbent)) {
+    return std::nullopt;  // screened: every placement is above the incumbent
+  }
   evals += placements.size();
 
   // All placements feasible: argmin of the breakdown total, first index
@@ -266,7 +269,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
   LayerCostCache layer_cache;
   PlacementCache placement_cache;
   SignatureCache signature_cache;
-  enum : std::uint8_t { kPending, kInvalid, kMemPruned };
+  enum : std::uint8_t { kPending, kInvalid, kMemPruned, kScreened };
   std::vector<std::uint8_t> state(n, kPending);
   std::vector<double> lb(n, 0.0);
 
@@ -319,9 +322,11 @@ SweepState sweep(const model::TransformerConfig& mdl,
   // lowering for the whole search raised peak memory by about half on a
   // large SUMMA space while running slower than lowering afresh. Each call
   // leases a warm kernel scratch bundle, so the kernel allocates only on
-  // growth.
+  // growth. `t_best` is the incumbent the placement scan screens against
+  // (infinity: no screen); a screened candidate is marked kScreened and
+  // counted as bound-pruned after the rounds.
   util::ObjectPool<PlacementScratch> scratch_pool;
-  auto evaluate_candidate = [&](std::size_t i) {
+  auto evaluate_candidate = [&](std::size_t i, double t_best) {
     parallel::ParallelConfig cfg = st.configs[i];
     const auto sig = signature_cache.get(mdl, cfg, b, opts.eval, layer_cache);
     core::EvalResult r;
@@ -330,11 +335,19 @@ SweepState sweep(const model::TransformerConfig& mdl,
       const core::SystemTiming base =
           core::bind_system_batched(*sig, bat, sys, opts.eval);
       const auto scratch = scratch_pool.acquire();
-      r = scan_placements_batch(mdl, sys, cfg, b, *sig, bat, base,
-                                *placement_cache.get(cfg, sys.nvs_domain),
-                                opts.eval, st.evals_per_config[i],
-                                /*stop_after_infeasible=*/true,
-                                scratch->batch, scratch->timings);
+      auto scanned = scan_placements_batch(
+          mdl, sys, cfg, b, *sig, bat, base,
+          *placement_cache.get(cfg, sys.nvs_domain), opts.eval,
+          st.evals_per_config[i], /*stop_after_infeasible=*/true,
+          scratch->batch, scratch->timings, /*pricer=*/nullptr,
+          /*prevalidated=*/false, t_best);
+      if (!scanned) {
+        st.best_per_config[i].reason =
+            "pruned: placement floor above incumbent";
+        state[i] = kScreened;
+        return;
+      }
+      r = std::move(*scanned);
     } else {
       pack_placement(cfg, sys.nvs_domain);
       r = core::time_signature(*sig, core::bind_system(*sig, sys, opts.eval),
@@ -347,7 +360,7 @@ SweepState sweep(const model::TransformerConfig& mdl,
 
   if (!use_incumbent) {
     util::parallel_for_dynamic(pool, order.size(), [&](std::size_t j) {
-      evaluate_candidate(order[j]);
+      evaluate_candidate(order[j], std::numeric_limits<double>::infinity());
     });
   } else {
     // Branch-and-bound rounds: evaluate round_size candidates, re-read the
@@ -356,7 +369,10 @@ SweepState sweep(const model::TransformerConfig& mdl,
     // completed set of evaluations, so the pruning decisions — and all
     // counters — are independent of the thread count. A pruned candidate
     // satisfies time >= lb > incumbent >= optimum, so it can change neither
-    // the optimum nor its memory tie-break.
+    // the optimum nor its memory tie-break. The same barrier snapshot is
+    // what each candidate's placement scan screens its comm floor against
+    // (floor <= time, so the same argument holds), never the live atomic,
+    // so screening too is thread-count independent.
     const std::size_t round_size = std::max<std::size_t>(1, opts.round_size);
     std::size_t pos = 0;
     std::size_t active_end = order.size();
@@ -378,13 +394,17 @@ SweepState sweep(const model::TransformerConfig& mdl,
 
       const std::size_t round_end = std::min(pos + round_size, active_end);
       util::parallel_for_dynamic(
-          pool, round_end - pos,
-          [&, pos](std::size_t j) { evaluate_candidate(order[pos + j]); });
+          pool, round_end - pos, [&, pos, t_best](std::size_t j) {
+            evaluate_candidate(order[pos + j], t_best);
+          });
       pos = round_end;
       ++st.stats.rounds;
     }
   }
 
+  for (std::size_t i = 0; i < n; ++i) {
+    if (state[i] == kScreened) ++st.stats.bound_pruned;
+  }
   st.stats.build_layer_calls = layer_cache.builds();
   st.stats.layer_cache_hits = layer_cache.hits();
   st.stats.placement_sets = placement_cache.builds();
@@ -415,6 +435,31 @@ std::vector<std::size_t> feasible_by_rank(const SweepState& st) {
   return idx;
 }
 
+/// Why nothing fit: how many candidates each constraint ruled out, plus
+/// the first candidate's own reason. Only meaningful when no candidate is
+/// feasible — then nothing was pruned against an incumbent, so every
+/// candidate is either invalid at `sys` (divisibility) or valid and over
+/// HBM (its memory floor or compiled footprint exceeds capacity, the only
+/// way a valid candidate fails).
+std::string infeasible_reason(const model::TransformerConfig& mdl,
+                              const hw::SystemConfig& sys,
+                              std::int64_t global_batch,
+                              const SweepState& st) {
+  const std::size_t n = st.configs.size();
+  if (n == 0) {
+    return "no candidate parallelization for this model, strategy and GPU "
+           "count";
+  }
+  std::size_t invalid = 0;
+  for (const parallel::ParallelConfig& cfg : st.configs) {
+    if (cfg.invalid_reason(mdl, sys, global_batch)) ++invalid;
+  }
+  return "all " + std::to_string(n) + " candidates ruled out: " +
+         std::to_string(invalid) + " invalid, " + std::to_string(n - invalid) +
+         " over HBM capacity (memory floor or footprint); first: " +
+         st.best_per_config.front().reason;
+}
+
 }  // namespace
 
 core::EvalResult best_placement(const model::TransformerConfig& mdl,
@@ -441,10 +486,11 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
   std::size_t evals = 0;
   core::BatchScratch scratch;
   std::vector<core::PlacementTiming> timings;
-  return scan_placements_batch(mdl, sys, cfg, global_batch, sig, bat, base,
-                               enumerate_placements(cfg, sys.nvs_domain),
-                               eval, evals, /*stop_after_infeasible=*/false,
-                               scratch, timings);
+  // No incumbent, so never screened.
+  return *scan_placements_batch(mdl, sys, cfg, global_batch, sig, bat, base,
+                                enumerate_placements(cfg, sys.nvs_domain),
+                                eval, evals, /*stop_after_infeasible=*/false,
+                                scratch, timings);
 }
 
 SearchResult find_optimal(const model::TransformerConfig& mdl,
@@ -456,7 +502,6 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
                         /*use_incumbent=*/opts.prune && opts.top_k == 0);
 
   SearchResult result;
-  result.best.reason = "no feasible configuration";
   result.stats = st.stats;
   for (std::size_t i = 0; i < st.best_per_config.size(); ++i) {
     result.evaluated += st.evals_per_config[i];
@@ -464,6 +509,10 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
     if (better_result(st.best_per_config[i], result.best)) {
       result.best = st.best_per_config[i];
     }
+  }
+
+  if (!result.best.feasible) {
+    result.best.reason = infeasible_reason(mdl, sys, opts.global_batch, st);
   }
 
   if (opts.top_k > 0) {

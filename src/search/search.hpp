@@ -20,12 +20,16 @@
 //     SearchResult::evaluated) independent of the thread count;
 //   * each surviving candidate's placements are timed in one batched call
 //     (scan_placements_batch over its SoA lowering), the same placement
-//     scan run_sweep and run_codesign use.
+//     scan run_sweep and run_codesign use; the scan first screens the
+//     candidate's comm floor against the round's incumbent snapshot and
+//     times nothing when the floor is above it.
 // Pruning is conservative: the returned optimum is identical — same
 // configuration, same iteration time — to the exhaustive sweep's
 // (SearchOptions::prune = false).
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "core/batched_signature.hpp"
 #include "core/cost_signature.hpp"
@@ -73,8 +77,10 @@ struct SearchStats {
   /// Parallelizations after the interleave/ZeRO/ring expansion (the size of
   /// the candidate space before any pruning).
   std::size_t candidates = 0;
-  /// Candidates rejected because their iteration-time lower bound exceeded
-  /// the incumbent.
+  /// Candidates rejected because a lower bound on their iteration time
+  /// exceeded the incumbent: the analytic time floor (before any op list is
+  /// built) or the placement scan's comm floor (after pricing, before any
+  /// placement is timed).
   std::size_t bound_pruned = 0;
   /// Candidates rejected because their placement-independent memory floor
   /// exceeded HBM capacity.
@@ -98,7 +104,10 @@ struct SearchStats {
 };
 
 struct SearchResult {
-  core::EvalResult best;  ///< best.feasible == false if nothing fits.
+  /// best.feasible == false if nothing fits; best.reason then names the
+  /// binding constraint: how many candidates were invalid and how many over
+  /// HBM, plus the first candidate's own reason.
+  core::EvalResult best;
   /// Placement evaluations actually performed (pruned candidates perform
   /// none; memory-infeasible candidates perform one).
   std::size_t evaluated = 0;
@@ -190,7 +199,16 @@ void pack_placement(parallel::ParallelConfig& cfg, std::int64_t nvs_domain);
 /// the call — so the placement-invariant shortcut is skipped. Together the
 /// two make `base.fabric` dead on this path, which is what lets the chain
 /// bind candidates with capture_fabric = false and never restamp them.
-core::EvalResult scan_placements_batch(
+///
+/// Placement-level branch-and-bound: a finite `incumbent` (an achieved
+/// iteration time) is forwarded to time_placements_batch's comm-floor
+/// screen. When the floor — a bitwise lower bound on every placement's
+/// time — exceeds it, no placement is timed, `evals` is unchanged,
+/// `timings` is empty and the result is nullopt: the candidate provably
+/// cannot be (or tie) any optimum at or below the incumbent. Infeasible
+/// candidates are decided before the screen, so they still report their
+/// reason. The default (no incumbent) never screens.
+std::optional<core::EvalResult> scan_placements_batch(
     const model::TransformerConfig& mdl, const hw::SystemConfig& sys,
     parallel::ParallelConfig cfg, std::int64_t global_batch,
     const core::CostSignature& sig, const core::BatchedSignature& bat,
@@ -199,6 +217,7 @@ core::EvalResult scan_placements_batch(
     const core::EvalOptions& eval, std::size_t& evals,
     bool stop_after_infeasible, core::BatchScratch& scratch,
     std::vector<core::PlacementTiming>& timings,
-    const comm::FabricPricer* pricer = nullptr, bool prevalidated = false);
+    const comm::FabricPricer* pricer = nullptr, bool prevalidated = false,
+    double incumbent = std::numeric_limits<double>::infinity());
 
 }  // namespace tfpe::search

@@ -27,7 +27,10 @@
 //     unchanged — bit for bit — with or without warm starts;
 //   * per point, candidates scan cheapest-lower-bound-first with a
 //     point-local incumbent, and all placements of a candidate are timed
-//     by one core::time_placements_batch call over the SoA arrays.
+//     by one core::time_placements_batch call over the SoA arrays — unless
+//     the kernel's comm floor (a bitwise lower bound on every placement's
+//     time) already exceeds the incumbent, which screens the candidate
+//     after pricing and before any placement is timed.
 // The per-point optima are IDENTICAL — configuration, time and memory
 // bits — to find_optimal run at that point, with or without warm_start
 // (bench_sweep_scaling asserts this on every run).
@@ -78,6 +81,8 @@ struct SweepStats {
   /// Placement evaluations (scalar time_placement-equivalents) over all
   /// points; batch kernels count every placement they time.
   std::size_t evaluated = 0;
+  /// Candidates cut by the analytic time floor or screened by the
+  /// placement scan's comm floor (SearchStats::bound_pruned).
   std::size_t bound_pruned = 0;
   std::size_t memory_pruned = 0;
   /// Cross-sweep compile sharing: compiles is the number of distinct

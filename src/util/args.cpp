@@ -5,7 +5,8 @@
 
 namespace tfpe::util {
 
-ArgParser::ArgParser(int argc, const char* const* argv) {
+ArgParser::ArgParser(int argc, const char* const* argv,
+                     const std::set<std::string>& boolean_flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -15,11 +16,17 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
-      flags_[body.substr(0, eq)] = body.substr(eq + 1);
+      const std::string name = body.substr(0, eq);
+      if (boolean_flags.count(name)) {
+        throw std::invalid_argument("flag --" + name + " takes no value");
+      }
+      flags_[name] = body.substr(eq + 1);
       continue;
     }
-    // "--flag value" when the next token is not itself a flag.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    // "--flag value" when the flag takes one and the next token is not
+    // itself a flag.
+    if (!boolean_flags.count(body) && i + 1 < argc &&
+        std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[body] = argv[++i];
     } else {
       flags_[body] = "";

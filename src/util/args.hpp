@@ -1,11 +1,12 @@
 #pragma once
 // Minimal command-line flag parser for the tools: supports
-//   --flag value   and   --flag=value   and boolean   --flag
+//   --flag value   and   --flag=value   and declared boolean   --flag
 // Unknown flags are collected as errors so tools can fail fast with usage.
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,8 +15,13 @@ namespace tfpe::util {
 class ArgParser {
  public:
   /// Parses argv; flags must start with "--". Positional arguments are kept
-  /// in order and available via positional().
-  ArgParser(int argc, const char* const* argv);
+  /// in order and available via positional(). `boolean_flags` names the
+  /// flags that never take a value, so "--strict PATH" leaves PATH
+  /// positional whichever order the two come in; any other flag binds a
+  /// following non-flag token as its value ("--gpus 64"). Throws
+  /// std::invalid_argument when a boolean flag is given "=value".
+  ArgParser(int argc, const char* const* argv,
+            const std::set<std::string>& boolean_flags = {});
 
   /// Value of --name, if present (boolean flags yield "").
   std::optional<std::string> get(const std::string& name) const;

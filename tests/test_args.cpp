@@ -2,15 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "util/args.hpp"
 
 namespace tfpe::util {
 namespace {
 
-ArgParser parse(std::initializer_list<const char*> argv) {
+ArgParser parse(std::initializer_list<const char*> argv,
+                const std::set<std::string>& boolean_flags = {}) {
   std::vector<const char*> v{"prog"};
   v.insert(v.end(), argv);
-  return ArgParser(static_cast<int>(v.size()), v.data());
+  return ArgParser(static_cast<int>(v.size()), v.data(), boolean_flags);
 }
 
 TEST(ArgParser, SpaceSeparatedValue) {
@@ -34,6 +41,37 @@ TEST(ArgParser, BooleanFollowedByFlag) {
   const auto a = parse({"--interleave", "--zero3"});
   EXPECT_TRUE(a.has("interleave"));
   EXPECT_TRUE(a.has("zero3"));
+}
+
+TEST(ArgParser, DeclaredBooleanNeverTakesTheNextPositional) {
+  // "sweep --arch SPEC" and "sweep SPEC --arch" mean the same command.
+  for (const auto& a : {parse({"sweep", "--arch", "spec.tfpe"}, {"arch"}),
+                        parse({"sweep", "spec.tfpe", "--arch"}, {"arch"})}) {
+    EXPECT_EQ(a.positional(),
+              (std::vector<std::string>{"sweep", "spec.tfpe"}));
+    EXPECT_EQ(a.get("arch"), std::optional<std::string>(""));
+  }
+  // So do "lint --strict PATH" and "lint PATH --strict".
+  for (const auto& a :
+       {parse({"lint", "--strict", "plan.tfpe", "--format", "json"},
+              {"strict"}),
+        parse({"lint", "plan.tfpe", "--format", "json", "--strict"},
+              {"strict"})}) {
+    EXPECT_EQ(a.positional(),
+              (std::vector<std::string>{"lint", "plan.tfpe"}));
+    EXPECT_TRUE(a.has("strict"));
+    EXPECT_EQ(a.get_or("format", ""), "json");
+  }
+}
+
+TEST(ArgParser, UndeclaredFlagTakesTheNextToken) {
+  const auto a = parse({"sweep", "--output", "out.csv"}, {"arch"});
+  EXPECT_EQ(a.get_or("output", ""), "out.csv");
+  EXPECT_EQ(a.positional(), (std::vector<std::string>{"sweep"}));
+}
+
+TEST(ArgParser, DeclaredBooleanRejectsAValue) {
+  EXPECT_THROW(parse({"--strict=yes"}, {"strict"}), std::invalid_argument);
 }
 
 TEST(ArgParser, DoubleParsing) {

@@ -293,6 +293,54 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].placement_sets, stats[1].placement_sets);
 }
 
+/// The placement scans of a co-design run screen each candidate's comm
+/// floor against the point-local incumbent. A 2-shape run with every
+/// pruning layer on (shape floor, analytic bound, comm floor) must match
+/// the exhaustive prune = false run bitwise, winners and per-shape optima,
+/// on two-level and oversubscribed fabrics, with thread-invariant counters.
+TEST(Codesign, CommFloorScreenMatchesExhaustiveTwoShapes) {
+  const auto family = small_family();
+  ASSERT_GE(family.size(), 2u);
+  const std::vector<model::TransformerConfig> shapes = {family.front(),
+                                                        family.back()};
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, {1.0, 4.0},
+      128, 32);
+  search::CodesignOptions exhaustive;
+  exhaustive.sweep.search.global_batch = 512;
+  exhaustive.sweep.search.allow_zero3 = true;
+  exhaustive.sweep.search.interleave_candidates = {1, 2};
+  exhaustive.sweep.search.prune = false;
+  exhaustive.sweep.threads = 2;
+  exhaustive.prune_shapes = false;
+  search::CodesignOptions pruned = exhaustive;
+  pruned.sweep.search.prune = true;
+  pruned.sweep.warm_start = true;
+  pruned.prune_shapes = true;
+  const auto ref = search::run_codesign(shapes, points, exhaustive);
+  pruned.sweep.threads = 1;
+  const auto one = search::run_codesign(shapes, points, pruned);
+  pruned.sweep.threads = 4;
+  const auto four = search::run_codesign(shapes, points, pruned);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const std::string where = "point " + std::to_string(p);
+    expect_same_optimum(ref.best[p].best, one.best[p].best, "winner " + where);
+    EXPECT_EQ(ref.best[p].shape, one.best[p].shape) << where;
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+      if (one.pruned[s][p]) continue;
+      expect_same_optimum(ref.per_shape[s][p], one.per_shape[s][p],
+                          shapes[s].name + " " + where);
+    }
+  }
+  EXPECT_GT(one.stats.bound_pruned, 0u);
+  EXPECT_LT(one.stats.evaluated, ref.stats.evaluated);
+  EXPECT_EQ(one.stats.evaluated, four.stats.evaluated);
+  EXPECT_EQ(one.stats.bound_pruned, four.stats.bound_pruned);
+  EXPECT_EQ(one.stats.batch_calls, four.stats.batch_calls);
+  EXPECT_EQ(one.stats.batch_placements, four.stats.batch_placements);
+  EXPECT_EQ(one.stats.shapes_pruned, four.stats.shapes_pruned);
+}
+
 /// Satellite regression: the candidate memo keys on the FULL (shape,
 /// n_gpus) pair — two different shapes at the same scale must not alias.
 TEST(Codesign, CandidateCacheDoesNotAliasShapesAtEqualScale) {

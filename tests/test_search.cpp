@@ -8,6 +8,7 @@
 
 #include "core/lower_bounds.hpp"
 #include "search/search.hpp"
+#include "search/sweep.hpp"
 
 namespace tfpe::search {
 namespace {
@@ -315,6 +316,46 @@ TEST(Pruning, MatchesExhaustiveOnSumma) {
   }
 }
 
+TEST(Pruning, CommFloorScreenMatchesExhaustiveOnSummaZero3) {
+  // The placement scan screens each candidate's comm floor against the
+  // round's incumbent snapshot; small rounds put almost every candidate
+  // behind a finite snapshot. SUMMA + ZeRO-3 + interleave with the
+  // overlap/recompute extensions on an oversubscribed leaf/spine fabric:
+  // the optimum must equal the exhaustive single-phase oracle bitwise, and
+  // every work counter must stay independent of the thread count.
+  const auto mdl = model::gpt3_175b();
+  const hw::SystemConfig sys =
+      hardware_grid({hw::GpuGeneration::H200}, {8}, {4.0}, 128, 32).front();
+  SearchOptions opts;
+  opts.strategy = parallel::TpStrategy::Summa2D;
+  opts.global_batch = 512;
+  opts.interleave_candidates = {1, 2, 4};
+  opts.allow_zero3 = true;
+  opts.eval.tp_overlap = 0.3;
+  opts.eval.activation_recompute = true;
+  opts.prune = false;
+  const SearchResult brute = find_optimal(mdl, sys, opts);
+  opts.prune = true;
+  opts.round_size = 4;
+  opts.threads = 1;
+  const SearchResult one = find_optimal(mdl, sys, opts);
+  opts.threads = 4;
+  const SearchResult four = find_optimal(mdl, sys, opts);
+  ASSERT_TRUE(brute.best.feasible);
+  expect_same_optimum(one, brute);
+  expect_same_optimum(four, brute);
+  // The screen does most of the work here: with the analytic bound alone
+  // the pruned engine timed about 70% of the exhaustive placements, with
+  // the comm floor about 2%.
+  EXPECT_LT(one.evaluated * 10, brute.evaluated);
+  EXPECT_EQ(one.evaluated, four.evaluated);
+  EXPECT_EQ(one.feasible, four.feasible);
+  EXPECT_EQ(one.stats.bound_pruned, four.stats.bound_pruned);
+  EXPECT_EQ(one.stats.memory_pruned, four.stats.memory_pruned);
+  EXPECT_EQ(one.stats.signature_compiles, four.stats.signature_compiles);
+  EXPECT_EQ(one.stats.rounds, four.stats.rounds);
+}
+
 TEST(FindOptimal, RejectsOutOfRangeEvalOptions) {
   // Fractions outside [0, 1] (or NaN) would yield negative or meaningless
   // iteration times; the search refuses them instead of ranking them.
@@ -423,6 +464,45 @@ TEST(FindOptimal, ReportsInfeasibleWhenNothingFits) {
   const SearchResult res = find_optimal(mdl, sys, opts);
   EXPECT_FALSE(res.best.feasible);
   EXPECT_FALSE(res.best.reason.empty());
+}
+
+TEST(FindOptimal, NamesTheBindingConstraintWhenNothingFits) {
+  // GPT3-1T on 8 GPUs: every parallelization is valid, none fits in HBM.
+  // The reason counts what each constraint ruled out instead of repeating
+  // "no feasible configuration", in both engines.
+  const auto mdl = model::gpt3_1t();
+  const auto sys = b200(8, 8);
+  SearchOptions opts;
+  opts.global_batch = 8;
+  for (bool prune : {true, false}) {
+    opts.prune = prune;
+    const SearchResult res = find_optimal(mdl, sys, opts);
+    ASSERT_FALSE(res.best.feasible);
+    const std::string n = std::to_string(res.stats.candidates);
+    EXPECT_EQ(res.best.reason,
+              "all " + n + " candidates ruled out: 0 invalid, " + n +
+                  " over HBM capacity (memory floor or footprint); first: "
+                  "exceeds HBM capacity")
+        << "prune=" << prune;
+  }
+  // Candidates enumerated for more GPUs than the system has are invalid.
+  opts.prune = true;
+  opts.n_gpus = 16;
+  const SearchResult oversized = find_optimal(mdl, sys, opts);
+  ASSERT_FALSE(oversized.best.feasible);
+  const std::string n = std::to_string(oversized.stats.candidates);
+  EXPECT_EQ(oversized.best.reason,
+            "all " + n + " candidates ruled out: " + n +
+                " invalid, 0 over HBM capacity (memory floor or footprint); "
+                "first: configuration exceeds available GPUs");
+  // An empty candidate space says so.
+  opts.n_gpus = 0;
+  opts.fixed_n1 = 3;  // divides no GPT3-1T width
+  const SearchResult empty = find_optimal(mdl, sys, opts);
+  EXPECT_EQ(empty.stats.candidates, 0u);
+  EXPECT_EQ(empty.best.reason,
+            "no candidate parallelization for this model, strategy and GPU "
+            "count");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -647,6 +648,101 @@ TEST(Signature, BatchedExternalPricerMatchesScalarFuzz) {
     }
   }
   EXPECT_GT(compared, 200u);
+}
+
+/// Randomized property (fixed seed): the kernel's comm floor is a bitwise
+/// lower bound on every placement of the batch. Screening against the
+/// exact minimum of timings[i].time.total() must never fire (floor <= min
+/// and the test is strict) and must leave every timing bitwise equal to the
+/// unscreened call; screening against 0 must always fire and time nothing.
+/// Covers 1D/2D/SUMMA, tp_overlap/offload/recompute, ZeRO-3 and interleave
+/// on two-level and oversubscribed leaf/spine fabrics, through the chain's
+/// external-pricer configuration.
+TEST(Signature, CommFloorNeverExceedsAnyPlacementFuzz) {
+  std::mt19937 rng(0xf1002eu);
+  const auto variants = eval_variants();
+  const std::vector<hw::SystemConfig> systems = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+       hw::GpuGeneration::B200},
+      {4, 8, 16}, {1.0, 4.0}, 256, 64);
+  std::vector<Case> cases = preset_matrix();
+  cases.push_back(
+      {model::gpt3_175b(), parallel::TpStrategy::TP2D, 1024, "gpt3-175b/2d"});
+  cases.push_back(
+      {model::vit_64k(), parallel::TpStrategy::Summa2D, 4096, "vit-64k/summa"});
+  core::BatchScratch scratch;
+  comm::FabricPricer pricer;
+  std::vector<core::PlacementTiming> plain, screened;
+  std::size_t checked = 0, zero3 = 0, interleaved = 0, oversubscribed = 0;
+  std::size_t tight = 0;
+  for (const Case& c : cases) {
+    search::SearchOptions sopts;
+    sopts.strategy = c.strategy;
+    sopts.global_batch = c.global_batch;
+    sopts.allow_zero3 = true;
+    sopts.interleave_candidates = {1, 2, 4};
+    const auto configs = search::expand_candidates(c.mdl, systems[0], sopts);
+    ASSERT_FALSE(configs.empty()) << c.name;
+    std::uniform_int_distribution<std::size_t> pick_cfg(0, configs.size() - 1);
+    std::uniform_int_distribution<std::size_t> pick_sys(0, systems.size() - 1);
+    std::uniform_int_distribution<std::size_t> pick_eval(0,
+                                                         variants.size() - 1);
+    for (int draw = 0; draw < 24; ++draw) {
+      const parallel::ParallelConfig cfg = configs[pick_cfg(rng)];
+      const hw::SystemConfig& sys = systems[pick_sys(rng)];
+      const core::EvalOptions& eval = variants[pick_eval(rng)];
+      if (cfg.invalid_reason(c.mdl, sys, c.global_batch)) continue;
+      const core::CostSignature sig =
+          core::compile_signature(c.mdl, cfg, c.global_batch, eval);
+      const core::BatchedSignature bat = core::lower_batched(sig);
+      const hw::Topology fabric = sys.resolved_fabric();
+      pricer.rebind(fabric);
+      const core::SystemTiming base = core::bind_system_batched(
+          sig, bat, sys, eval, /*capture_fabric=*/false);
+      const auto placements = search::enumerate_placements(cfg, sys.nvs_domain);
+      const std::string label = c.name + " " + cfg.describe() + " on " +
+                                sys.describe();
+      ASSERT_TRUE(core::time_placements_batch(sig, bat, base, sys, cfg,
+                                              placements, eval, plain,
+                                              &scratch, &pricer))
+          << label;
+      ASSERT_EQ(plain.size(), placements.size()) << label;
+      double min_total = std::numeric_limits<double>::infinity();
+      for (const auto& t : plain) {
+        min_total = std::min(min_total, t.time.total());
+      }
+
+      ASSERT_TRUE(core::time_placements_batch(sig, bat, base, sys, cfg,
+                                              placements, eval, screened,
+                                              &scratch, &pricer, min_total))
+          << "floor above the best placement: " << label;
+      ASSERT_EQ(screened.size(), plain.size()) << label;
+      for (std::size_t p = 0; p < plain.size(); ++p) {
+        expect_pt_bitwise(plain[p], screened[p],
+                          label + " placement " + std::to_string(p));
+      }
+      EXPECT_FALSE(core::time_placements_batch(sig, bat, base, sys, cfg,
+                                               placements, eval, screened,
+                                               &scratch, &pricer, 0.0))
+          << label;
+      EXPECT_TRUE(screened.empty()) << label;
+      // Non-vacuity: somewhere the floor is exact, so the next double below
+      // the best placement's time already screens.
+      tight += !core::time_placements_batch(
+          sig, bat, base, sys, cfg, placements, eval, screened, &scratch,
+          &pricer, std::nextafter(min_total, 0.0));
+
+      ++checked;
+      zero3 += cfg.zero == parallel::ZeroStage::kWeights && cfg.nd > 1;
+      interleaved += cfg.interleave > 1;
+      oversubscribed += fabric.levels.size() > 2;
+    }
+  }
+  EXPECT_GT(checked, 100u);
+  EXPECT_GT(zero3, 0u);
+  EXPECT_GT(interleaved, 0u);
+  EXPECT_GT(oversubscribed, 0u);
+  EXPECT_GT(tight, 0u);
 }
 
 TEST(Sweep, MatchesFindOptimalPerPoint) {

@@ -294,14 +294,7 @@ int run_lint(const util::ArgParser& args) {
   analysis::LintOptions opts;
   if (!parse_lint_flags(args, &format, &strict, &opts)) return 2;
 
-  // --strict takes no value, but the parser's "--flag value" rule swallows
-  // a following PATH operand into it ("lint --strict plan.tfpe") — reclaim
-  // it so flag order never changes which artifact gets linted.
-  std::string path = pos.size() == 2 ? pos[1] : "";
-  if (const auto v = args.get("strict"); v && !v->empty()) {
-    if (!path.empty()) return lint_usage("too many arguments");
-    path = *v;
-  }
+  const std::string path = pos.size() == 2 ? pos[1] : "";
 
   if (!path.empty()) {
     const int rc = lint_file(path, args, format, strict, opts);
@@ -1285,7 +1278,14 @@ int main(int argc, char** argv) {
   // (a non-integer --gpus) or from a library entry point (out-of-range
   // EvalOptions) is reported as a usage-level failure, never an abort.
   try {
-    const util::ArgParser args(argc, argv);
+    // The flags of every subcommand that never take a value, so a boolean
+    // flag never swallows the operand after it ("sweep --arch SPEC").
+    const util::ArgParser args(
+        argc, argv,
+        {"help", "strict", "no-warm-start", "no-prune-shapes",
+         "verify-per-shape", "warm-start", "profile-stages", "verify-legacy",
+         "ablate-topology", "arch", "all", "interleave", "zero3", "recompute",
+         "ops", "sensitivity"});
     const std::string cmd =
         args.positional().empty() ? "" : args.positional().front();
     if (cmd == "sweep") return run_sweep_cmd(args);
