@@ -147,6 +147,28 @@ SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,
   out.stage_params_floor = stage_params_floor;
   out.bl = bl;
   out.tp = tp;
+
+  // --- Exposed TP collective volumes per block pass (see header). ---
+  // The TP1 seams move b_loc x (l/n2) x e at FP16 (n2 = 1 in 1D TP).
+  const double l2 = l / static_cast<double>(cfg.n2);
+  out.tp1_bytes = ops::kBytesPerElement * b_loc * l2 * e;
+  if (cfg.strategy != parallel::TpStrategy::Summa2D) {
+    out.tp1_fc2_bytes =
+        mdl.is_moe() ? out.tp1_bytes * static_cast<double>(mdl.moe_top_k)
+                     : out.tp1_bytes;
+  }
+  if (cfg.strategy != parallel::TpStrategy::TP1D && !cfg.ring_attention &&
+      mdl.attention != model::AttentionKind::kLinear) {
+    const double kv_gather_len =
+        mdl.attention == model::AttentionKind::kWindowed
+            ? std::min(l, l2 + static_cast<double>(mdl.window))
+            : l;
+    out.tp2_kv_bytes = ops::kBytesPerElement * b_loc * kv_gather_len * ekv /
+                       static_cast<double>(cfg.n1);
+  }
+  const double passes = opts.activation_recompute ? 3.0 : 2.0;
+  out.tp_comm_scale = (1.0 - opts.tp_overlap) * passes *
+                      static_cast<double>(cfg.microbatches) * layers;
   return out;
 }
 
@@ -183,6 +205,17 @@ SearchBounds finish_search_bounds(const SearchBoundsBase& base,
                        (3.0 * 0.5 * static_cast<double>(cfg.microbatches)))
                           .value();
   }
+  // Exposed TP collectives: three TP1 seams plus fc2's, and the two K/V
+  // AllGathers over TP2, per block pass (the floor is 0 for a group of one,
+  // so 1D TP and n2 = 1 add nothing there).
+  const auto floor = [&](std::int64_t group, double bytes) {
+    return comm::collective_time_floor(fabric, group, Bytes(bytes));
+  };
+  const Seconds pass = floor(cfg.n1, base.tp1_bytes) * 3.0 +
+                       floor(cfg.n1, base.tp1_fc2_bytes) +
+                       floor(cfg.n2, base.tp2_kv_bytes) * 2.0;
+  out.tp_comm_floor = (pass * base.tp_comm_scale).value();
+  out.time_floor += out.tp_comm_floor;
   return out;
 }
 

@@ -47,6 +47,24 @@
 //     single link, and ZeRO-3's per-microbatch weight-gather/grad-scatter
 //     at least comm::collective_time_floor — the algorithm-independent
 //     ingress/bisection bound of the bottleneck level.
+//   * Exposed TP collectives: every block pass runs the non-panel TP
+//     collectives of Tables I/II/A2 at the volumes the builders emit —
+//     1D/2D: the ln1 AllGather, out_proj ReduceScatter, ln2 AllGather and
+//     fc2 ReduceScatter over TP1 (under MoE the fc2 ReduceScatter carries
+//     top_k x the volume); SUMMA: the ln1/ln2 AllReduce and the out_proj
+//     ReduceScatter over TP1; 2D/SUMMA without ring or linear attention:
+//     the two K/V AllGathers over TP2. Each is priced with
+//     comm::collective_time_floor, and the sum is scaled by
+//     (1 - tp_overlap) x (2 passes, 3 with activation recompute) x m x
+//     depth/np — the evaluator's tp_comm = (fwd + bwd) x m x layers over
+//     the steady microbatches only, so the term stays disjoint from the
+//     bubble, whose compute part the compute floor already covers.
+//     Left out on purpose (floors only shrink): the SUMMA panel
+//     broadcasts (their exposed share depends on the panel overlap), the
+//     ring-attention K/V hops (overlapped the same way), the MoE
+//     all-to-all (DP group, placement-dependent) and linear attention's
+//     small state AllReduce; an AllReduce is counted at one pass (its
+//     RS + AG halves are not both charged).
 
 #include <cstdint>
 
@@ -62,12 +80,15 @@ struct SearchBounds {
   double time_floor = 0;
   /// Lower bound on mem.total() [bytes]; placement-independent.
   double memory_floor = 0;
+  /// The exposed-TP-collective share of time_floor [s]; <= every
+  /// placement's TimeBreakdown::tp_comm on its own.
+  double tp_comm_floor = 0;
 };
 
 /// Bounds for `cfg` on `sys`. `cfg` must satisfy the divisibility
 /// constraints (invalid_reason() == nullopt with unit placement); the
 /// placement fields are ignored. `opts` is consulted for the extensions
-/// that change the memory floor (activation offload).
+/// that change the floors (activation offload, recompute, tp_overlap).
 SearchBounds search_bounds(const model::TransformerConfig& mdl,
                            const hw::SystemConfig& sys,
                            const parallel::ParallelConfig& cfg,
@@ -87,15 +108,25 @@ SearchBounds search_bounds(const model::TransformerConfig& mdl,
                            const EvalOptions& opts = {});
 
 /// The fabric-independent prefix of search_bounds: the compute/optimizer
-/// time floor, the memory floor, and the intermediates the network terms
-/// reuse. Valid for every fabric on a system with the same GPU roofline —
-/// the sweep computes it once per chain and re-finishes it per point.
+/// time floor, the memory floor, and the intermediates and collective
+/// volumes the network terms reuse. Valid for every fabric on a system with
+/// the same GPU roofline — the sweep computes it once per chain and
+/// re-finishes it per point.
 struct SearchBoundsBase {
   double compute_floor = 0;      ///< time_floor before the network terms
   double memory_floor = 0;
   double stage_params_floor = 0; ///< reused by the ZeRO-3 collective floor
   double bl = 0;                 ///< local batch x seq_len (P2P volume)
   double tp = 0;                 ///< n1 * n2 (P2P volume divisor)
+  /// Exposed-TP-collective inputs (fabric-independent; see header): the
+  /// volume of each of the three TP1 collectives per block pass besides
+  /// fc2's, the fc2 ReduceScatter volume (0 under SUMMA), the volume of
+  /// each of the two K/V AllGathers over TP2 (0 when not emitted), and
+  /// (1 - tp_overlap) x passes x m x layers.
+  double tp1_bytes = 0;
+  double tp1_fc2_bytes = 0;
+  double tp2_kv_bytes = 0;
+  double tp_comm_scale = 0;
 };
 
 SearchBoundsBase search_bounds_base(const model::TransformerConfig& mdl,

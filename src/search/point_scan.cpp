@@ -264,6 +264,7 @@ PointOutcome scan_point(const ScanShared& sh, const hw::SystemConfig& sys,
       out.best_index = i;
     }
   }
+  check_optimum(sh.mdl, sys, chain.fabric, out.best, b, eval);
   sh.compile_ns.fetch_add(compile_ns, std::memory_order_relaxed);
   sh.time_ns.fetch_add(time_ns, std::memory_order_relaxed);
   return out;

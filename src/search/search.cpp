@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <iomanip>
 #include <limits>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/lower_bounds.hpp"
@@ -493,6 +497,31 @@ core::EvalResult best_placement(const model::TransformerConfig& mdl,
                                 scratch, timings);
 }
 
+void check_optimum(const model::TransformerConfig& mdl,
+                   const hw::SystemConfig& sys, const hw::Topology& fabric,
+                   const core::EvalResult& best, std::int64_t global_batch,
+                   const core::EvalOptions& eval) {
+  if (!best.feasible) return;
+  const double t = best.iteration();
+  const bool positive = std::isfinite(t) && t > 0;
+  const double floor =
+      positive
+          ? core::search_bounds(mdl, sys, fabric, best.cfg, global_batch, eval)
+                .time_floor
+          : 0.0;
+  if (positive && t >= floor) return;
+  std::ostringstream msg;
+  msg << std::setprecision(17) << "postcondition violated: the optimum "
+      << best.cfg.describe() << " of " << mdl.name << " on " << sys.describe()
+      << " has iteration time " << t << " s, which ";
+  if (positive) {
+    msg << "is below its lower bound " << floor << " s";
+  } else {
+    msg << "is not finite and positive";
+  }
+  throw std::logic_error(msg.str());
+}
+
 SearchResult find_optimal(const model::TransformerConfig& mdl,
                           const hw::SystemConfig& sys,
                           const SearchOptions& opts) {
@@ -511,7 +540,10 @@ SearchResult find_optimal(const model::TransformerConfig& mdl,
     }
   }
 
-  if (!result.best.feasible) {
+  if (result.best.feasible) {
+    check_optimum(mdl, sys, sys.resolved_fabric(), result.best,
+                  opts.global_batch, opts.eval);
+  } else {
     result.best.reason = infeasible_reason(mdl, sys, opts.global_batch, st);
   }
 

@@ -159,6 +159,18 @@ bool better_result(const core::EvalResult& a, const core::EvalResult& b);
 /// tfpe codesign --verify-per-shape, the bench drivers) asserts.
 bool same_optimum(const core::EvalResult& a, const core::EvalResult& b);
 
+/// Physical postcondition on an optimum an engine returns: a feasible
+/// result's iteration time must be finite, positive and at or above its own
+/// analytic floor (core::search_bounds against `fabric`, the resolved fabric
+/// of `sys`). Throws std::logic_error naming the configuration otherwise —
+/// a violation is a model or engine bug, never a user error. find_optimal
+/// and scan_point (run_sweep, run_codesign) check every optimum they
+/// return, at the cost of one bound per winner; infeasible results pass.
+void check_optimum(const model::TransformerConfig& mdl,
+                   const hw::SystemConfig& sys, const hw::Topology& fabric,
+                   const core::EvalResult& best, std::int64_t global_batch,
+                   const core::EvalOptions& eval);
+
 /// The candidate parallelizations find_optimal scans: enumerate_parallel
 /// expanded by the interleave / ZeRO-3 / ring-attention axes. Depends on
 /// the SYSTEM only through its GPU count (or opts.n_gpus), never on the

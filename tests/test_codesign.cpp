@@ -293,12 +293,12 @@ TEST(Codesign, StatsAreThreadInvariant) {
   EXPECT_EQ(stats[0].placement_sets, stats[1].placement_sets);
 }
 
-/// The placement scans of a co-design run screen each candidate's comm
-/// floor against the point-local incumbent. A 2-shape run with every
-/// pruning layer on (shape floor, analytic bound, comm floor) must match
-/// the exhaustive prune = false run bitwise, winners and per-shape optima,
-/// on two-level and oversubscribed fabrics, with thread-invariant counters.
-TEST(Codesign, CommFloorScreenMatchesExhaustiveTwoShapes) {
+/// Run `exhaustive` (prune = false, no shape pruning) and the same options
+/// with every pruning layer on (shape floor, analytic bound with its TP
+/// term, comm floor) on two shapes of small_family() over two-level and
+/// oversubscribed fabrics: winners and per-shape optima must match
+/// bitwise, and the pruned run's counters must be thread-invariant.
+void expect_two_shapes_match_exhaustive(search::CodesignOptions exhaustive) {
   const auto family = small_family();
   ASSERT_GE(family.size(), 2u);
   const std::vector<model::TransformerConfig> shapes = {family.front(),
@@ -306,7 +306,6 @@ TEST(Codesign, CommFloorScreenMatchesExhaustiveTwoShapes) {
   const auto points = search::hardware_grid(
       {hw::GpuGeneration::A100, hw::GpuGeneration::B200}, {4, 16}, {1.0, 4.0},
       128, 32);
-  search::CodesignOptions exhaustive;
   exhaustive.sweep.search.global_batch = 512;
   exhaustive.sweep.search.allow_zero3 = true;
   exhaustive.sweep.search.interleave_candidates = {1, 2};
@@ -338,7 +337,66 @@ TEST(Codesign, CommFloorScreenMatchesExhaustiveTwoShapes) {
   EXPECT_EQ(one.stats.bound_pruned, four.stats.bound_pruned);
   EXPECT_EQ(one.stats.batch_calls, four.stats.batch_calls);
   EXPECT_EQ(one.stats.batch_placements, four.stats.batch_placements);
+  EXPECT_EQ(one.stats.signature_compiles, four.stats.signature_compiles);
+  EXPECT_EQ(one.stats.build_layer_calls, four.stats.build_layer_calls);
   EXPECT_EQ(one.stats.shapes_pruned, four.stats.shapes_pruned);
+}
+
+/// The placement scans of a co-design run screen each candidate's comm
+/// floor against the point-local incumbent.
+TEST(Codesign, CommFloorScreenMatchesExhaustiveTwoShapes) {
+  expect_two_shapes_match_exhaustive({});
+}
+
+/// The analytic bound's exposed-TP term prunes candidates before they are
+/// compiled; its scale reads tp_overlap and recompute, so the 2D and SUMMA
+/// scans run with both on.
+TEST(Codesign, TpFloorMatchesExhaustiveTwoShapes) {
+  for (const auto strategy :
+       {parallel::TpStrategy::TP2D, parallel::TpStrategy::Summa2D}) {
+    SCOPED_TRACE(parallel::to_string(strategy));
+    search::CodesignOptions opts;
+    opts.sweep.search.strategy = strategy;
+    opts.sweep.search.eval.activation_recompute = true;
+    opts.sweep.search.eval.tp_overlap = 0.3;
+    expect_two_shapes_match_exhaustive(opts);
+  }
+}
+
+/// Machine-independent gate on the engine's work: a fixed slice of the
+/// GPT3-175B iso-parameter band (GQA and MoE variants) over the A100 / H200
+/// / B200 x NVS 4-64 grid at 1024 GPUs, as the benchmark's co-design
+/// workload runs it. The analytic bound's exposed-TP term rules candidates
+/// out before they are compiled or timed; the upper bounds sit at the
+/// counts it reaches, so a loosened bound fails here instead of showing
+/// only as lost throughput.
+TEST(Codesign, WorkCountersPinnedOnBandSlice) {
+  model::ShapeFamilyOptions fam;
+  fam.tolerance = 0.05;
+  fam.kv_heads = {0, 8};
+  fam.moe_experts = {0, 8};
+  const auto band = model::shape_family(model::gpt3_175b(), fam);
+  ASSERT_GE(band.size(), 24u);
+  const std::vector<model::TransformerConfig> shapes(band.begin(),
+                                                     band.begin() + 24);
+  const auto points = search::hardware_grid(
+      {hw::GpuGeneration::A100, hw::GpuGeneration::H200,
+       hw::GpuGeneration::B200},
+      {4, 8, 16, 32, 64}, 1024);
+  search::CodesignOptions opts;
+  opts.sweep.threads = 1;
+  opts.sweep.warm_start = true;
+  opts.sweep.search.global_batch = 4096;
+  const auto run = search::run_codesign(shapes, points, opts);
+  // Without the TP term the slice took 2016 compiles, 709 op-list builds
+  // and 7493 timed placements.
+  EXPECT_LE(run.stats.signature_compiles, 1775u);
+  EXPECT_LE(run.stats.build_layer_calls, 529u);
+  EXPECT_LE(run.stats.batch_placements, 5309u);
+  // The memory floor and the shape floor (which reads no TP term) prune at
+  // least as much as they do today.
+  EXPECT_GE(run.stats.memory_pruned, 150u);
+  EXPECT_GE(run.stats.shapes_pruned, 210u);
 }
 
 /// Satellite regression: the candidate memo keys on the FULL (shape,

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/lower_bounds.hpp"
 #include "search/search.hpp"
@@ -356,6 +358,88 @@ TEST(Pruning, CommFloorScreenMatchesExhaustiveOnSummaZero3) {
   EXPECT_EQ(one.stats.rounds, four.stats.rounds);
 }
 
+TEST(Pruning, TpFloorMatchesExhaustiveAcrossStrategies) {
+  // The exposed-TP floor prunes candidates before they are compiled; the
+  // optimum must still equal the exhaustive single-phase oracle bitwise
+  // for every strategy, dense and MoE (SUMMA has no MoE builder), with and
+  // without recompute + overlap, and the work counters must not depend on
+  // the thread count. Small rounds put most candidates behind a finite
+  // incumbent snapshot.
+  core::EvalOptions ext;
+  ext.activation_recompute = true;
+  ext.tp_overlap = 0.3;
+  for (const auto strategy :
+       {parallel::TpStrategy::TP1D, parallel::TpStrategy::TP2D,
+        parallel::TpStrategy::Summa2D}) {
+    for (const auto& mdl : {model::gpt3_175b(), model::gpt_moe_1t()}) {
+      if (mdl.is_moe() && strategy == parallel::TpStrategy::Summa2D) continue;
+      for (const auto& eval : {core::EvalOptions{}, ext}) {
+        const std::string label = parallel::to_string(strategy) + " " +
+                                  mdl.name +
+                                  (eval.activation_recompute ? " ext" : "");
+        SearchOptions opts;
+        opts.strategy = strategy;
+        opts.global_batch = 256;
+        opts.interleave_candidates = {1, 2};
+        opts.allow_zero3 = true;
+        opts.eval = eval;
+        opts.prune = false;
+        const SearchResult brute = find_optimal(mdl, b200(8, 64), opts);
+        opts.prune = true;
+        opts.round_size = 4;
+        opts.threads = 1;
+        const SearchResult one = find_optimal(mdl, b200(8, 64), opts);
+        opts.threads = 4;
+        const SearchResult four = find_optimal(mdl, b200(8, 64), opts);
+        ASSERT_TRUE(brute.best.feasible) << label;
+        SCOPED_TRACE(label);
+        expect_same_optimum(one, brute);
+        expect_same_optimum(four, brute);
+        EXPECT_LT(one.evaluated, brute.evaluated);
+        EXPECT_EQ(one.evaluated, four.evaluated);
+        EXPECT_EQ(one.feasible, four.feasible);
+        EXPECT_EQ(one.stats.bound_pruned, four.stats.bound_pruned);
+        EXPECT_EQ(one.stats.memory_pruned, four.stats.memory_pruned);
+        EXPECT_EQ(one.stats.signature_compiles, four.stats.signature_compiles);
+        EXPECT_EQ(one.stats.build_layer_calls, four.stats.build_layer_calls);
+        EXPECT_EQ(one.stats.rounds, four.stats.rounds);
+      }
+    }
+  }
+}
+
+TEST(FindOptimal, OptimumPostconditionNamesTheConfiguration) {
+  // find_optimal checks its own optimum; corrupted copies of it — not
+  // finite, not positive, below the analytic floor — must be rejected with
+  // a logic_error that names the configuration.
+  const auto mdl = model::gpt3_175b();
+  const auto sys = b200(8, 64);
+  SearchOptions opts;
+  opts.global_batch = 256;
+  const SearchResult res = find_optimal(mdl, sys, opts);
+  ASSERT_TRUE(res.best.feasible);
+  const hw::Topology fabric = sys.resolved_fabric();
+  EXPECT_NO_THROW(check_optimum(mdl, sys, fabric, res.best, 256, opts.eval));
+  const double floor =
+      core::search_bounds(mdl, sys, fabric, res.best.cfg, 256, opts.eval)
+          .time_floor;
+  for (const double compute : {std::nan(""), -1.0, 0.0, 0.5 * floor}) {
+    core::EvalResult bad = res.best;
+    bad.time = core::TimeBreakdown{};
+    bad.time.compute = compute;
+    try {
+      check_optimum(mdl, sys, fabric, bad, 256, opts.eval);
+      ADD_FAILURE() << "accepted iteration time " << compute;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(res.best.cfg.describe()),
+                std::string::npos)
+          << e.what();
+    }
+    bad.feasible = false;  // infeasible results carry no time to check
+    EXPECT_NO_THROW(check_optimum(mdl, sys, fabric, bad, 256, opts.eval));
+  }
+}
+
 TEST(FindOptimal, RejectsOutOfRangeEvalOptions) {
   // Fractions outside [0, 1] (or NaN) would yield negative or meaningless
   // iteration times; the search refuses them instead of ranking them.
@@ -395,63 +479,165 @@ TEST(Pruning, RoundSizeDoesNotChangeOptimum) {
   EXPECT_GE(b.stats.bound_pruned, c.stats.bound_pruned);
 }
 
+// --- Analytic bounds (core/lower_bounds.hpp) ---
+
+/// One bounds property case: a model on a system under one strategy and
+/// EvalOptions setting.
+struct BoundCase {
+  const char* label;
+  model::TransformerConfig mdl;
+  hw::SystemConfig sys;
+  parallel::TpStrategy strategy;
+  std::int64_t batch;
+  core::EvalOptions eval;
+};
+
+/// A narrow model whose exposed TP collectives outweigh its matmuls
+/// (comm/compute grows as tp / embed), with n1 = 16 groups that span two
+/// NVS domains.
+model::TransformerConfig comm_bound_model() {
+  model::TransformerConfig m;
+  m.name = "comm-bound";
+  m.seq_len = 2048;
+  m.embed = 1024;
+  m.heads = 16;
+  m.depth = 16;
+  m.hidden = 4096;
+  m.validate();
+  return m;
+}
+
+/// The cases both floor properties sweep: every strategy (SUMMA with its nb
+/// panel variants), dense / windowed / linear attention, MoE under 1D and
+/// 2D, the overlap / recompute / offload extensions, a leaf/spine fabric
+/// with spine oversubscription 4, and a TP-comm-bound model.
+std::vector<BoundCase> bound_cases() {
+  core::EvalOptions overlap;
+  overlap.tp_overlap = 0.5;
+  core::EvalOptions recompute;
+  recompute.activation_recompute = true;
+  core::EvalOptions all_ext;
+  all_ext.tp_overlap = 0.3;
+  all_ext.activation_recompute = true;
+  all_ext.activation_offload = 0.5;
+  const hw::SystemConfig spine =
+      hardware_grid({hw::GpuGeneration::H200}, {8}, {4.0}, 128, 32).front();
+  using S = parallel::TpStrategy;
+  return {
+      {"175b 1D", model::gpt3_175b(), b200(8, 64), S::TP1D, 256, {}},
+      {"vit32k 2D", model::vit_32k(), b200(8, 64), S::TP2D, 4096, {}},
+      {"moe 1D", model::gpt_moe_1t(), b200(8, 64), S::TP1D, 256, {}},
+      {"175b summa", model::gpt3_175b(), b200(8, 64), S::Summa2D, 256, {}},
+      {"windowed 2D", model::vit_64k_windowed(4096), b200(8, 256), S::TP2D,
+       1024, {}},
+      {"windowed summa", model::vit_64k_windowed(4096), b200(8, 256),
+       S::Summa2D, 1024, overlap},
+      {"linear 2D", model::vit_64k_linear(), b200(8, 256), S::TP2D, 1024, {}},
+      {"moe 2D", model::gpt_moe_1t(), b200(8, 64), S::TP2D, 256, {}},
+      {"175b 1D overlap", model::gpt3_175b(), b200(8, 64), S::TP1D, 256,
+       overlap},
+      {"vit32k 2D recompute", model::vit_32k(), b200(8, 64), S::TP2D, 4096,
+       recompute},
+      {"175b summa all-ext", model::gpt3_175b(), b200(8, 64), S::Summa2D, 256,
+       all_ext},
+      {"moe 2D all-ext", model::gpt_moe_1t(), b200(8, 64), S::TP2D, 256,
+       all_ext},
+      {"175b 1D spine x4", model::gpt3_175b(), spine, S::TP1D, 512, recompute},
+      {"175b 2D spine x4", model::gpt3_175b(), spine, S::TP2D, 512, overlap},
+      {"comm-bound 1D", comm_bound_model(), b200(8, 64), S::TP1D, 256, {}},
+      {"comm-bound 1D overlap", comm_bound_model(), b200(8, 64), S::TP1D, 256,
+       overlap},
+      {"comm-bound 2D recompute", comm_bound_model(), b200(8, 64), S::TP2D,
+       256, recompute},
+  };
+}
+
+/// Call fn(cfg) for every valid enumerated candidate of the case and the
+/// ZeRO-3 / ring / interleave / ZeRO-3 + interleave variants the search
+/// expands each into. The whole space, not a stride: the configurations
+/// where the floors are tightest (PP = 1, TP-heavy) are a small minority.
+template <typename Fn>
+void for_each_bound_candidate(const BoundCase& cs, Fn&& fn) {
+  EnumerationOptions eopts;
+  eopts.strategy = cs.strategy;
+  eopts.global_batch = cs.batch;
+  const auto base = enumerate_parallel(cs.mdl, cs.sys, eopts);
+  ASSERT_FALSE(base.empty()) << cs.label;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    std::vector<parallel::ParallelConfig> variants{base[i]};
+    variants.push_back(base[i]);
+    variants.back().zero = parallel::ZeroStage::kWeights;
+    if (base[i].n2 > 1 && cs.mdl.attention != model::AttentionKind::kLinear) {
+      variants.push_back(base[i]);
+      variants.back().ring_attention = true;
+    }
+    if (base[i].np > 1 && (cs.mdl.depth / base[i].np) % 2 == 0) {
+      variants.push_back(base[i]);
+      variants.back().interleave = 2;
+      variants.push_back(variants.back());
+      variants.back().zero = parallel::ZeroStage::kWeights;
+    }
+    for (const auto& cfg : variants) {
+      auto valid = cfg;
+      valid.nvs1 = valid.nvs2 = valid.nvsp = valid.nvsd = 1;
+      if (valid.invalid_reason(cs.mdl, cs.sys, cs.batch)) continue;
+      fn(cfg);
+    }
+  }
+}
+
 // Property test for the analytic bounds: the floors must never exceed the
 // achieved iteration time / HBM footprint of any valid configuration,
-// across strategies, models (incl. MoE) and the expansion axes.
+// across strategies, models (incl. MoE), attention kinds, extensions,
+// fabrics and the expansion axes.
 TEST(LowerBounds, FloorsNeverExceedActuals) {
-  struct Case {
-    model::TransformerConfig mdl;
-    hw::SystemConfig sys;
-    parallel::TpStrategy strategy;
-    std::int64_t batch;
-  };
-  const Case cases[] = {
-      {model::gpt3_175b(), b200(8, 64), parallel::TpStrategy::TP1D, 256},
-      {model::vit_32k(), b200(8, 64), parallel::TpStrategy::TP2D, 4096},
-      {model::gpt_moe_1t(), b200(8, 64), parallel::TpStrategy::TP1D, 256},
-  };
-  for (const auto& cs : cases) {
-    EnumerationOptions eopts;
-    eopts.strategy = cs.strategy;
-    eopts.global_batch = cs.batch;
-    const auto base = enumerate_parallel(cs.mdl, cs.sys, eopts);
-    ASSERT_FALSE(base.empty());
+  for (const auto& cs : bound_cases()) {
     std::size_t checked = 0;
-    const std::size_t step = std::max<std::size_t>(1, base.size() / 32);
-    for (std::size_t i = 0; i < base.size(); i += step) {
-      // Exercise the plain config plus the ZeRO-3 / ring / interleave
-      // variants the search expands into.
-      std::vector<parallel::ParallelConfig> variants{base[i]};
-      variants.push_back(base[i]);
-      variants.back().zero = parallel::ZeroStage::kWeights;
-      if (base[i].n2 > 1 &&
-          cs.mdl.attention != model::AttentionKind::kLinear) {
-        variants.push_back(base[i]);
-        variants.back().ring_attention = true;
-      }
-      if (base[i].np > 1 && (cs.mdl.depth / base[i].np) % 2 == 0) {
-        variants.push_back(base[i]);
-        variants.back().interleave = 2;
-      }
-      for (const auto& cfg : variants) {
-        auto valid = cfg;
-        valid.nvs1 = valid.nvs2 = valid.nvsp = valid.nvsd = 1;
-        if (valid.invalid_reason(cs.mdl, cs.sys, cs.batch)) continue;
-        const auto bounds =
-            core::search_bounds(cs.mdl, cs.sys, cfg, cs.batch);
-        const auto r = best_placement(cs.mdl, cs.sys, cfg, cs.batch);
-        if (!r.feasible) {
-          continue;  // memory floor <= actual is only meaningful if it fits
-        }
-        ++checked;
-        EXPECT_LE(bounds.time_floor, r.iteration() * (1 + 1e-9))
-            << cfg.describe();
-        EXPECT_LE(bounds.memory_floor, r.mem.total().value() * (1 + 1e-9))
-            << cfg.describe();
-      }
-    }
-    EXPECT_GT(checked, 0u);
+    for_each_bound_candidate(cs, [&](const parallel::ParallelConfig& cfg) {
+      const auto bounds =
+          core::search_bounds(cs.mdl, cs.sys, cfg, cs.batch, cs.eval);
+      const auto r = best_placement(cs.mdl, cs.sys, cfg, cs.batch, cs.eval);
+      if (!r.feasible) return;  // memory floor <= actual only if it fits
+      ++checked;
+      EXPECT_LE(bounds.time_floor, r.iteration() * (1 + 1e-9))
+          << cs.label << " " << cfg.describe();
+      EXPECT_LE(bounds.memory_floor, r.mem.total().value() * (1 + 1e-9))
+          << cs.label << " " << cfg.describe();
+    });
+    EXPECT_GT(checked, 0u) << cs.label;
   }
+}
+
+// The exposed-TP-collective term on its own is a floor on the kernel's
+// tp_comm for every placement the batch kernel times — not merely hidden
+// under the slack of the other terms.
+TEST(LowerBounds, TpCommFloorNeverExceedsAnyPlacement) {
+  std::size_t positive = 0;
+  for (const auto& cs : bound_cases()) {
+    std::size_t checked = 0;
+    for_each_bound_candidate(cs, [&](const parallel::ParallelConfig& cfg) {
+      const auto bounds =
+          core::search_bounds(cs.mdl, cs.sys, cfg, cs.batch, cs.eval);
+      EXPECT_LE(bounds.tp_comm_floor, bounds.time_floor) << cfg.describe();
+      const core::CostSignature sig =
+          core::compile_signature(cs.mdl, cfg, cs.batch, cs.eval);
+      const core::BatchedSignature bat = core::lower_batched(sig);
+      const core::SystemTiming base =
+          core::bind_system_batched(sig, bat, cs.sys, cs.eval);
+      std::vector<core::PlacementTiming> timings;
+      core::time_placements_batch(sig, bat, base, cs.sys, cfg,
+                                  enumerate_placements(cfg, cs.sys.nvs_domain),
+                                  cs.eval, timings);
+      for (const auto& t : timings) {
+        ++checked;
+        EXPECT_LE(bounds.tp_comm_floor, t.time.tp_comm)
+            << cs.label << " " << cfg.describe();
+      }
+      if (bounds.tp_comm_floor > 0) ++positive;
+    });
+    EXPECT_GT(checked, 0u) << cs.label;
+  }
+  EXPECT_GT(positive, 0u);
 }
 
 TEST(FindOptimal, ReportsInfeasibleWhenNothingFits) {

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "analysis/consistency.hpp"
 #include "analysis/invariants.hpp"
@@ -41,6 +43,16 @@
 namespace {
 
 using namespace tfpe;
+
+/// The first positional past the `consumed` leading operands (the
+/// subcommand name), as a named error — a stray word, or the value after a
+/// boolean flag ("--interleave 0"), is rejected rather than ignored.
+std::optional<std::string> stray_positional(const util::ArgParser& args,
+                                            std::size_t consumed) {
+  const auto& pos = args.positional();
+  if (pos.size() <= consumed) return std::nullopt;
+  return "unexpected argument '" + pos[consumed] + "'";
+}
 
 int usage(const char* msg) {
   if (msg) std::cerr << "error: " << msg << "\n\n";
@@ -427,6 +439,9 @@ int codesign_usage(const char* msg) {
 
 int run_codesign_cmd(const util::ArgParser& args) {
   if (args.has("help")) return codesign_usage(nullptr);
+  if (const auto stray = stray_positional(args, 1)) {
+    return codesign_usage(stray->c_str());
+  }
 
   io::LoadedConfig file_cfg;
   if (const auto path = args.get("config")) {
@@ -901,6 +916,9 @@ void print_serve_row(const core::InferenceEstimate& e, bool on_front) {
 
 int run_serve_plan_cmd(const util::ArgParser& args) {
   if (args.has("help")) return serve_usage(nullptr);
+  if (const auto stray = stray_positional(args, 1)) {
+    return serve_usage(stray->c_str());
+  }
 
   io::LoadedConfig file_cfg;
   if (const auto path = args.get("config")) {
@@ -1073,6 +1091,9 @@ int run_serve_plan_cmd(const util::ArgParser& args) {
 
 int run_search_cmd(const util::ArgParser& args) {
   if (args.has("help")) return usage(nullptr);
+  if (const auto stray = stray_positional(args, 0)) {
+    return usage(stray->c_str());
+  }
 
   // --- config file (flags still override the GPU-count style fields) ---
   io::LoadedConfig file_cfg;
@@ -1292,6 +1313,8 @@ int main(int argc, char** argv) {
     if (cmd == "lint") return run_lint(args);
     if (cmd == "codesign") return run_codesign_cmd(args);
     if (cmd == "serve-plan") return run_serve_plan_cmd(args);
+    // Anything else is the flag-only search, which rejects every
+    // positional (an unknown subcommand included).
     return run_search_cmd(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
